@@ -117,8 +117,10 @@ def spec_from_dict(data: Mapping, base_dir: Path) -> ExperimentSpec:
     path = Path(ref)
     if not path.is_absolute():
         path = base_dir / path
-    mode_letters = data.get("modes", list("ABCD"))
-    modes = tuple(FitnessMode.from_letter(m) for m in mode_letters)
+    letters = data.get("modes", list("ABCD"))
+    if not isinstance(letters, (list, tuple)) or not all(isinstance(m, str) for m in letters):
+        raise ExperimentSpecError(f"modes must be a list of mode letters, got {letters!r}")
+    modes = tuple(FitnessMode.from_letter(m) for m in letters)
     weights = data.get("weights")
     kwargs = dict(
         product_path=path,
@@ -134,14 +136,20 @@ def spec_from_dict(data: Mapping, base_dir: Path) -> ExperimentSpec:
         fixture_hash=data.get("fixtureHash"),
     )
     if weights is not None:
-        if not isinstance(weights, Sequence) or len(weights) != 3:
-            raise ExperimentSpecError("weights must be a list of three numbers")
-        kwargs["weights"] = Weights(*map(float, weights))
+        kwargs["weights"] = Weights(*_numbers(data, "weights", 3, "three"))
     for key, attr in (("mutationBounds", "mutation_bounds"), ("crossoverBounds", "crossover_bounds")):
         if key in data:
-            lo, hi = data[key]
-            kwargs[attr] = (float(lo), float(hi))
+            kwargs[attr] = _numbers(data, key, 2, "two")
     return ExperimentSpec(**kwargs)
+
+
+def _numbers(data: Mapping, key: str, count: int, words: str) -> tuple[float, ...]:
+    value = data[key]
+    if not isinstance(value, (list, tuple)) or len(value) != count or not all(
+        type(x) in (int, float) for x in value  # a JSON true is no number
+    ):
+        raise ExperimentSpecError(f"{key} must be a list of {words} numbers, got {value!r}")
+    return tuple(map(float, value))
 
 
 def spec_from_json(path: str | Path) -> ExperimentSpec:
@@ -291,14 +299,13 @@ def _run_entry(r: RunResult) -> dict:
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
-    spec = report.spec
     modes = {}
     for s in report.summaries:
         modes[s.mode.value] = {
             "successCount": s.success_count,
             "successRate": s.success_rate,
             "bestSeed": s.best.seed,
-            "bestPlan": plan_report(report.model, s.best, spec.weights),
+            "bestPlan": plan_report(report.model, s.best, report.spec.weights),
             "runs": [_run_entry(r) for r in s.results],
             "curve": {
                 "meanMaxFitness": list(s.mean_max_fitness),
@@ -307,19 +314,13 @@ def report_to_dict(report: ExperimentReport) -> dict:
                 "meanCrossoverRate": list(s.mean_crossover_rate),
             },
         }
-    return {
+    # the report restates the manifest's settings except the controller bounds
+    settings = manifest_dict(report)
+    del settings["mutationBounds"], settings["crossoverBounds"]
+    return settings | {
         "product": report.model.name,
-        "productFile": str(spec.product_path.resolve()),
-        "fixtureHash": report.product_hash,
+        "productFile": settings["product"],
         "modes": modes,
-        "runs": spec.runs,
-        "seed": spec.base_seed,
-        "population": spec.population_size,
-        "mutation": spec.mutation_prob,
-        "crossover": spec.crossover_rate,
-        "generations": spec.max_generations,
-        "weights": list(spec.weights.as_tuple()),
-        "successTarget": spec.success_target,
     }
 
 

@@ -37,6 +37,16 @@ def _parse_weights(text: str) -> Weights:
     return Weights(*(float(p) for p in parts))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adplan",
@@ -59,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("experiment", help="run a seeded batch experiment from a spec file")
     e.add_argument("spec", help="experiment spec JSON (a manifest.json also works)")
     e.add_argument("--out", type=str, default="results", help="output directory (default results/)")
-    e.add_argument("--workers", type=int, default=1, help="process pool size (default 1)")
+    e.add_argument("--workers", type=_positive_int, default=1, help="process pool size (default 1)")
 
     o = sub.add_parser("oracle", help="exhaustive optimum for a small product")
     o.add_argument("product", help="product JSON file")

@@ -102,36 +102,38 @@ def crossover(
 ) -> tuple[PlanChromosome, PlanChromosome]:
     """Two-point order crossover producing two children.
 
-    One pair of cut points is drawn and shared by both children.  Each child
-    copies the segment between the cuts from one parent, then fills the
-    remaining positions (starting after the second cut, wrapping) with the
-    other parent's components in that parent's order; direction and gripper
-    genes move with their component.
+    One pair of distinct cut points 0 <= i < j <= n is drawn, uniformly over
+    unordered pairs, and shared by both children.  Each child copies the
+    segment between the cuts from one parent, then fills the remaining
+    positions (starting after the second cut, wrapping) with the other
+    parent's components in that parent's order; direction and gripper genes
+    move with their component.
     """
     n = len(a.sequence)
     if n < 2:
         return a, b
-    i, j = sorted(rng.sample(range(n + 1), 2))
+    i = rng.randrange(n + 1)
+    j = rng.randrange(n)
+    j += j >= i
+    i, j = min(i, j), max(i, j)
     return _ox_child(a, b, i, j), _ox_child(b, a, i, j)
 
 
 def _ox_child(keep: PlanChromosome, donor: PlanChromosome, i: int, j: int) -> PlanChromosome:
     n = len(keep.sequence)
     seg = set(keep.sequence[i:j])
-    fill = [
-        (donor.sequence[p], donor.directions[p], donor.grippers[p])
-        for p in ((j + k) % n for k in range(n))
-        if donor.sequence[p] not in seg
-    ]
-    seq = list(keep.sequence)
-    dirs = list(keep.directions)
-    grips = list(keep.grippers)
-    positions = list(range(j, n)) + list(range(i))
-    for pos, (part, d, g) in zip(positions, fill):
-        seq[pos] = part
-        dirs[pos] = d
-        grips[pos] = g
-    return PlanChromosome(tuple(seq), tuple(dirs), tuple(grips))
+    dseq = donor.sequence
+    # donor positions in fill order (after the second cut, wrapping), then
+    # rotated into child order: the last i fill the head, the rest the tail
+    fill = [p for p in range(j, n) if dseq[p] not in seg]
+    fill += [p for p in range(j) if dseq[p] not in seg]
+    order = fill[n - j:] + fill[:n - j]
+    sections = []
+    for kept, given in zip(keep, donor):
+        genes = [given[p] for p in order]
+        genes[i:i] = kept[i:j]
+        sections.append(tuple(genes))
+    return PlanChromosome(*sections)
 
 
 def mutate(chrom: PlanChromosome, model: ProductModel, rng: random.Random) -> PlanChromosome:
@@ -148,7 +150,9 @@ def mutate(chrom: PlanChromosome, model: ProductModel, rng: random.Random) -> Pl
     dirs = list(chrom.directions)
     grips = list(chrom.grippers)
     if n >= 2:
-        i, j = rng.sample(range(n), 2)
+        i = rng.randrange(n)
+        j = rng.randrange(n - 1)
+        j += j >= i
         seq[i], seq[j] = seq[j], seq[i]
         dirs[i], dirs[j] = dirs[j], dirs[i]
         grips[i], grips[j] = grips[j], grips[i]

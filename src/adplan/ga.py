@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
 from typing import Callable, Sequence
 
 from .encoding import (
@@ -35,8 +35,6 @@ from .product import ProductModel
 
 #: Generations without improvement that count as fully stagnated.
 STAGNATION_HORIZON = 10
-#: Pair-sample budget for the diversity estimate on large populations.
-DIVERSITY_SAMPLE_PAIRS = 128
 
 
 @dataclass(frozen=True)
@@ -128,36 +126,22 @@ def select(
     return a[0] if a[1] >= b[1] else b[0]
 
 
-def population_diversity(
-    population: Sequence[PlanChromosome],
-    rng: random.Random | None = None,
-    max_pairs: int = DIVERSITY_SAMPLE_PAIRS,
-) -> float:
+def population_diversity(population: Sequence[PlanChromosome]) -> float:
     """Mean pairwise positionwise disagreement of the sequence sections.
 
-    Exhaustive over all pairs when there are at most ``max_pairs`` of them,
-    otherwise estimated from ``max_pairs`` rng-sampled distinct pairs.
+    Exact over all pairs in O(P·n) for P sequences of length n: if c[k][v]
+    sequences hold component v at position k, then Σ_v c[k][v]² counts the
+    ordered pairs (self-pairs included) that agree at k, so the mean is
+    (P²·n − Σ_k Σ_v c[k][v]²) / (P·(P−1)·n).  Draws no randomness.
     Ranges over [0, 1]; 0 means every sequence section is identical.
     """
     p = len(population)
-    if p < 2:
+    n = len(population[0].sequence) if population else 0
+    if p < 2 or n == 0:
         return 0.0
-    n = len(population[0].sequence)
-    if n == 0:
-        return 0.0
-    total_pairs = p * (p - 1) // 2
-    if total_pairs <= max_pairs or rng is None:
-        pairs = combinations(range(p), 2)
-        count = total_pairs
-    else:
-        pairs = (tuple(rng.sample(range(p), 2)) for _ in range(max_pairs))
-        count = max_pairs
-    acc = 0
-    for i, j in pairs:
-        a = population[i].sequence
-        b = population[j].sequence
-        acc += sum(x != y for x, y in zip(a, b))
-    return acc / (count * n)
+    columns = zip(*(chrom.sequence for chrom in population))
+    agree = sum(c * c for column in columns for c in Counter(column).values())
+    return (p * p * n - agree) / (p * (p - 1) * n)
 
 
 def controller_update(
@@ -267,7 +251,7 @@ def evolve(
                 best_metrics=mlist[best_i],
                 mutation_prob=mut_p,
                 crossover_rate=cross_r,
-                diversity=population_diversity(pop, rng),
+                diversity=population_diversity(pop),
                 feasible_fraction=feasible / len(pop),
                 all_feasible=ctx.all_feasible,
             )

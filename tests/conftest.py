@@ -58,24 +58,16 @@ def rng() -> random.Random:
 
 
 class StubRandom(random.Random):
-    """random.Random whose sample/randrange answers come from scripts.
+    """random.Random whose randrange answers come from a script.
 
-    Each scripted entry is popped in call order; when a script runs dry the
+    Scripted entries are popped in call order; when the script runs dry the
     real generator takes over, so tests can force just the first few choices
-    (crossover cut points, swap positions) and leave the rest honest.
+    (crossover cut points, tournament draws) and leave the rest honest.
     """
 
-    def __init__(self, seed=0, *, samples=(), randranges=()):
+    def __init__(self, seed=0, *, randranges=()):
         super().__init__(seed)
-        self._samples = list(samples)
         self._randranges = list(randranges)
-
-    def sample(self, population, k):
-        if self._samples:
-            forced = self._samples.pop(0)
-            assert len(forced) == k
-            return list(forced)
-        return super().sample(population, k)
 
     def randrange(self, start, stop=None, step=1):
         if self._randranges:

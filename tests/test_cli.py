@@ -233,6 +233,37 @@ def test_experiment_unknown_spec_key_exits_2(capsys, tmp_path):
     assert "unknown experiment spec keys" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("mutationBounds", 0.5),
+        ("crossoverBounds", [0.1]),
+        ("mutationBounds", [0.2, "0.9"]),
+        ("crossoverBounds", [True, 0.8]),
+        ("modes", [1]),
+        ("modes", "AB"),
+    ],
+)
+def test_experiment_malformed_spec_field_exits_2(capsys, tmp_path, key, value):
+    spec = write_spec(tmp_path, **{key: value})
+    code, out, err = run_cli(capsys, "experiment", spec, "--out", tmp_path / "results")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {key} must be a list")
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_experiment_workers_below_one_is_usage_error(capsys, tmp_path, workers):
+    spec = write_spec(tmp_path)
+    out = tmp_path / "results"
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", str(spec), "--out", str(out), "--workers", workers])
+    assert exc.value.code == 2
+    assert f"--workers: must be at least 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_missing_spec_exits_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, "experiment", tmp_path / "absent.json")
     assert code == 3

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -157,7 +158,7 @@ def test_crossover_hand_trace_cuts_1_3():
     )
     a = PlanChromosome((0, 1, 2, 3), (0, 0, 0, 0), (0, 0, 0, 0))
     b = PlanChromosome((3, 2, 1, 0), (1, 1, 1, 1), (1, 1, 1, 1))
-    stub = StubRandom(samples=[(1, 3)])
+    stub = StubRandom(randranges=[1, 2])  # i = 1; j = 2 >= i steps to 3
     c1, c2 = crossover(a, b, stub)
     # child 1 keeps a[1:3], fills from b starting after the cut: b yields 0, 3
     assert c1.sequence == (3, 1, 2, 0)
@@ -234,6 +235,30 @@ def test_mutate_keeps_forced_gripper(rng):
         for pos, part in enumerate(chrom.sequence):
             if part in forced:
                 assert chrom.grippers[pos] == model.allowed_grippers[part][0]
+
+
+def test_crossover_cuts_and_mutation_swaps_are_uniform():
+    # n = 4: 10 unordered cut pairs over 0..4, 6 unordered swap pairs over
+    # 0..3; each must turn up within 15% of its share of 20,000 draws
+    model = product_from_dict(doc(4, ["+y", "-x"]))
+    a = PlanChromosome((0, 1, 2, 3), (0, 0, 0, 0), (0, 0, 0, 0))
+    b = PlanChromosome((3, 2, 1, 0), (1, 1, 1, 1), (0, 0, 0, 0))
+    rng = random.Random(7)
+    draws = 20_000
+    cuts = Counter()
+    swaps = Counter()
+    for _ in range(draws):
+        child, _ = crossover(a, b, rng)
+        kept = [pos for pos, d in enumerate(child.directions) if d == 0]
+        cuts[kept[0], kept[-1] + 1] += 1  # a's genes fill exactly [i, j)
+        moved = mutate(a, model, rng)
+        swaps[tuple(p for p in range(4) if moved.sequence[p] != p)] += 1
+    assert set(cuts) == {(i, j) for i in range(5) for j in range(i + 1, 5)}
+    assert set(swaps) == {(i, j) for i in range(4) for j in range(i + 1, 4)}
+    for counts in (cuts, swaps):
+        share = draws / len(counts)
+        for pair, count in counts.items():
+            assert abs(count - share) <= 0.15 * share, (pair, count)
 
 
 # -- validate_chromosome ----------------------------------------------------

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import adplan.ga
 from adplan import (
     FitnessMode,
     GAConfig,
@@ -140,25 +141,44 @@ def test_diversity_extremes_and_bounds(rng):
         seq = base[:]
         rng.shuffle(seq)
         pop.append(PlanChromosome(tuple(seq), (0,) * 6, (0,) * 6))
-    d = population_diversity(pop, rng)
+    d = population_diversity(pop)
     assert 0.0 < d <= 1.0
 
 
-def test_diversity_sampled_path_is_seeded():
-    pop = []
-    base = list(range(5))
-    maker = random.Random(11)
-    for _ in range(60):  # 1770 pairs > 128 -> sampling kicks in
-        seq = base[:]
-        maker.shuffle(seq)
-        pop.append(PlanChromosome(tuple(seq), (0,) * 5, (0,) * 5))
-    d1 = population_diversity(pop, random.Random(3))
-    d2 = population_diversity(pop, random.Random(3))
-    d3 = population_diversity(pop, random.Random(4))
-    assert d1 == d2
-    assert d1 != d3  # different sample, (almost surely) different estimate
-    exhaustive = population_diversity(pop, None)
-    assert abs(d1 - exhaustive) < 0.2
+@pytest.mark.parametrize("p", [2, 16, 17, 80])
+@pytest.mark.parametrize("n", [1, 5, 19, 44])
+def test_diversity_equals_all_pairs_reference(p, n):
+    maker = random.Random(100 * p + n)
+    for _ in range(3):
+        pop = []
+        for _ in range(p):
+            if pop and maker.random() < 0.3:  # duplicates, as elitism makes
+                pop.append(maker.choice(pop))
+                continue
+            seq = list(range(n))
+            maker.shuffle(seq)
+            pop.append(PlanChromosome(tuple(seq), (0,) * n, (0,) * n))
+        pairs = [(a, b) for k, a in enumerate(pop) for b in pop[k + 1 :]]
+        differ = sum(x != y for a, b in pairs for x, y in zip(a.sequence, b.sequence))
+        assert population_diversity(pop) == differ / (len(pairs) * n)
+
+
+def test_diversity_does_not_steer_static_modes(monkeypatch):
+    # population 20 has 190 pairs: enough that a sampled estimate would
+    # have drawn from the search RNG
+    model = load_fixture("stack5")
+    configs = [
+        GAConfig(population_size=20, max_generations=40, mode=FitnessMode.from_letter(m), seed=4)
+        for m in "ABC"
+    ]
+    honest = [evolve(model, cfg) for cfg in configs]
+    monkeypatch.setattr(adplan.ga, "population_diversity", lambda *args: 0.5)
+    for cfg, ref in zip(configs, honest):
+        r = evolve(model, cfg)
+        assert {s.diversity for s in r.stats} == {0.5}
+        assert r.best == ref.best
+        assert r.best_algebraic == ref.best_algebraic
+        assert [s.max_fitness for s in r.stats] == [s.max_fitness for s in ref.stats]
 
 
 # -- controller ----------------------------------------------------------------
