@@ -1,8 +1,8 @@
-"""Cross-check the GA against the exhaustive oracle on small products.
+"""Cross-check the GA against the exact oracle on small products.
 
-The oracle enumerates every (sequence, direction, gripper) assignment with
-feasible-prefix pruning, so its optimum is exact.  On products this size the
-GA should match it from almost any seed.
+The oracle solves a DP over (removed set, last direction, last gripper), so
+its optimum is exact; the states column counts the DP states it reached.
+On products this size the GA should match it from almost any seed.
 
 Run:  python3 demos/05_oracle_check.py
 """

@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands: plan (single GA run), experiment (seeded batch with reports),
-oracle (exhaustive optimum for small products), validate (load and check a
+oracle (exact optimum by a DP over removed sets), validate (load and check a
 product file).  Exit codes: 0 success, 2 validation or configuration error,
 3 file I/O error.
 """
@@ -71,12 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out", type=str, default="results", help="output directory (default results/)")
     e.add_argument("--workers", type=_positive_int, default=1, help="process pool size (default 1)")
 
-    o = sub.add_parser("oracle", help="exhaustive optimum for a small product")
+    o = sub.add_parser("oracle", help="exact optimum and optimal plans for a product")
     o.add_argument("product", help="product JSON file")
     o.add_argument("--cap", type=int, default=DEFAULT_CAP,
                    help=f"refuse products with more components (default {DEFAULT_CAP})")
     o.add_argument("--weights", type=str, default=None, help="fitness weights, e.g. 2,1,1")
-    o.add_argument("--no-prune", action="store_true", help="disable infeasible-prefix pruning")
     o.add_argument("--out", type=str, default=None, help="directory for oracle.json")
 
     v = sub.add_parser("validate", help="load a product file and report its shape")
@@ -140,9 +139,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     model = load_product(args.product)
     weights = _parse_weights(args.weights) if args.weights else Weights()
-    result = brute_force_optimal(
-        model, weights, cap=args.cap, prune=not args.no_prune
-    )
+    result = brute_force_optimal(model, weights, cap=args.cap)
     count = len(result.optimal_plans)
     suffix = "+" if result.truncated else ""
     print(

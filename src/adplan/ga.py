@@ -209,6 +209,7 @@ def evolve(
         controller = build_controller_system()
 
     pop = [random_chromosome(model, rng) for _ in range(config.population_size)]
+    known: list[PlanMetrics | None] = [None] * len(pop)
     mut_p = config.mutation_prob
     cross_r = config.crossover_rate
     history: list[GenerationStats] = []
@@ -220,7 +221,7 @@ def evolve(
         if audit:
             for c in pop:
                 validate_chromosome(model, c)
-        mlist = [metrics(model, c) for c in pop]
+        mlist = [metrics(model, c) if m is None else m for c, m in zip(pop, known)]
         feasible = sum(1 for m in mlist if m.feasible_len == m.n_parts)
         if ctx.mode.adaptive and not ctx.all_feasible and feasible == len(pop):
             ctx.all_feasible = True
@@ -260,7 +261,7 @@ def evolve(
             break
         if config.mode is FitnessMode.ADAPTIVE_CONTROLLED:
             mut_p, cross_r = controller_update(history, controller, config)
-        pop = _breed(scored, pop[best_i], mut_p, cross_r, model, rng)
+        pop, known = _breed(scored, best_i, mut_p, cross_r, model, rng)
 
     best_alg = algebraic_fitness(best_m, config.weights)
     success = (
@@ -282,12 +283,15 @@ def evolve(
 
 def _breed(
     scored: list[tuple],
-    elite: PlanChromosome,
+    elite_i: int,
     mut_p: float,
     cross_r: float,
     model: ProductModel,
     rng: random.Random,
-) -> list[PlanChromosome]:
+) -> tuple[list[PlanChromosome], list[PlanMetrics | None]]:
+    """The next generation, with the metrics of each member known to be
+    unchanged (the elite and unmutated clones), None for new chromosomes.
+    """
     p = len(scored)
     n_offspring = p - 1
     n_cross = min(n_offspring, round(cross_r * p))
@@ -299,9 +303,14 @@ def _breed(
             children.append(c2)
     while len(children) < n_offspring:
         children.append(select(scored, rng))
+    # every scored row is alive here, so object ids cannot be reused
+    parent_metrics = {id(row[0]): row[2] for row in scored}
+    elite, _, elite_m = scored[elite_i]
     out = [elite]
+    known = [elite_m]
     for c in children:
         if rng.random() < mut_p:
             c = mutate(c, model, rng)
         out.append(c)
-    return out
+        known.append(parent_metrics.get(id(c)))
+    return out, known

@@ -224,7 +224,8 @@ def _require(mapping: Mapping, key: str, kind: type, where: str):
     if key not in mapping:
         raise ProductParseError(f"missing key {key!r} in {where}")
     value = mapping[key]
-    if not isinstance(value, kind):
+    # bool is a subclass of int, but true/false is never a valid number here
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ProductParseError(f"{where}.{key} must be {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -299,7 +300,8 @@ def product_from_dict(data: Mapping) -> ProductModel:
                     f"{key}[{lab}] must be {n}x{n}, got {arr.shape[0]}x{arr.shape[1]}"
                 )
             mats.append(arr)
-        stacks[key] = np.stack(mats)
+        # no directions leaves nothing to stack; the model reports that case
+        stacks[key] = np.stack(mats) if mats else np.zeros((0, n, n), dtype=bool)
 
     return ProductModel(
         name=name,
@@ -326,7 +328,7 @@ def _parse_matrix(rows: list, key: str, lab: str) -> np.ndarray:
                 f"{key}[{lab}] row {r} has {len(row)} entries, expected {width}"
             )
         for c, v in enumerate(row):
-            if v not in (0, 1):
+            if isinstance(v, bool) or v not in (0, 1):
                 raise ProductValidationError(
                     f"{key}[{lab}][{r}][{c}] must be 0 or 1, got {v!r}"
                 )

@@ -14,6 +14,7 @@ import adplan.bench
 from adplan import fixture_hash
 from adplan.cli import main
 from conftest import FIXTURE_DIR, fixture_path
+from test_product import doc
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -71,6 +72,40 @@ def test_validate_schema_error_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "validate", bad)
     assert code == 2
     assert err.startswith("error:")
+
+
+def _no_directions():
+    return doc(2, [])
+
+
+def _false_id():
+    bad = doc(2, ["+x"])
+    bad["components"][0]["id"] = False
+    return bad
+
+
+def _true_entry():
+    bad = doc(2, ["+x"])
+    bad["interference"]["+x"][0][1] = True
+    return bad
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (_no_directions, "product has no directions"),
+        (_false_id, "components[0].id must be int, got bool"),
+        (_true_entry, "interference[+x][0][1] must be 0 or 1, got True"),
+    ],
+)
+def test_validate_malformed_product_exits_2(capsys, tmp_path, make, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(make()), encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", bad)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+    assert len(err.splitlines()) == 1
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -176,15 +211,11 @@ def test_oracle_cap_exceeded_exits_2(capsys):
     assert "19" in err and "7" in err
 
 
-def test_oracle_no_prune_same_optimum_more_states(capsys):
-    def states(out: str) -> int:
-        return int(out.split("states explored")[0].rsplit(",", 1)[1].strip())
-
-    _, pruned, _ = run_cli(capsys, "oracle", fixture_path("stack4"))
-    _, full, _ = run_cli(capsys, "oracle", fixture_path("stack4"), "--no-prune")
-    assert "optimal fitness 11.0" in pruned
-    assert "optimal fitness 11.0" in full
-    assert states(full) >= states(pruned)
+def test_oracle_solves_product2_with_raised_cap(capsys):
+    code, out, err = run_cli(capsys, "oracle", fixture_path("product2"), "--cap", "19")
+    assert code == 0
+    assert err == ""
+    assert "product2: optimal fitness 68.0" in out
 
 
 def test_oracle_custom_weights(capsys):

@@ -15,6 +15,7 @@ from adplan import (
     PlanMetrics,
     RunResult,
     Weights,
+    algebraic_fitness,
     controller_update,
     evolve,
     load_product,
@@ -298,6 +299,44 @@ def test_evolve_audit_mode_validates_every_generation():
     cfg = GAConfig(population_size=12, max_generations=15, seed=1)
     r = evolve(model, cfg, audit=True)
     assert len(r.stats) == 15
+
+
+def test_evolve_computes_metrics_only_for_new_chromosomes(monkeypatch):
+    # audit mode shows each generation's population, fitness_fn the metrics
+    # the GA scored it with, the wrapped metrics() the calls actually made
+    model = load_fixture("cage5")
+    size = 20
+    real_metrics = adplan.ga.metrics
+    pops: list[list[PlanChromosome]] = []
+    calls: list[int] = []
+    scored: list[list[PlanMetrics]] = []
+
+    def audit(model_, chrom):
+        if not pops or len(pops[-1]) == size:
+            pops.append([])
+            calls.append(0)
+            scored.append([])
+        pops[-1].append(chrom)
+
+    def counting(model_, chrom):
+        calls[-1] += 1
+        return real_metrics(model_, chrom)
+
+    def fitness(m):
+        scored[-1].append(m)
+        return algebraic_fitness(m)
+
+    monkeypatch.setattr(adplan.ga, "validate_chromosome", audit)
+    monkeypatch.setattr(adplan.ga, "metrics", counting)
+    cfg = GAConfig(population_size=size, max_generations=30, seed=2)
+    evolve(model, cfg, fitness_fn=fitness, audit=True)
+    assert len(pops) == 30
+    assert calls[0] == size
+    for prev, pop, n_calls in zip(pops, pops[1:], calls[1:]):
+        new = sum(not any(c is old for old in prev) for c in pop)
+        assert n_calls == new < size  # the elite is never re-scored
+    for pop, ms in zip(pops, scored):
+        assert ms == [real_metrics(model, c) for c in pop]
 
 
 def test_evolve_stats_shape_and_rate_columns():

@@ -1,4 +1,4 @@
-"""Exhaustive search oracle: exact optima, state counts, pruning equivalence."""
+"""Exact oracle: optima, plans and truncation against the enumerative reference."""
 
 from __future__ import annotations
 
@@ -18,7 +18,8 @@ from adplan import (
     product_from_dict,
     validate_chromosome,
 )
-from conftest import ORACLE_OPTIMA, load_fixture
+from brute_oracle import enumerate_optimal
+from conftest import ORACLE_OPTIMA, STACK_TARGETS, load_fixture
 from stack_oracle import stack_optimal_fitness
 from test_product import doc, zeros
 
@@ -68,7 +69,7 @@ def test_unpruned_state_count_matches_closed_form():
     # free model: every non-empty partial plan is reachable, so the tree has
     # sum_k P(n, k) * (D * G)^k states for D directions and G grippers/part
     model = product_from_dict(doc(3, ["+y", "-x"]))
-    res = brute_force_optimal(model, Weights(1, 1, 1), prune=False)
+    res = enumerate_optimal(model, Weights(1, 1, 1), prune=False)
     n, d, g = 3, 2, 1
     want = sum(
         math.perm(n, k) * (d * g) ** k for k in range(1, n + 1)
@@ -79,13 +80,40 @@ def test_unpruned_state_count_matches_closed_form():
 def test_pruned_and_unpruned_agree(rng):
     for name in ("chain3", "stack4", "free4", "cage5", "mixed5"):
         model = load_fixture(name)
-        fast = brute_force_optimal(model)
-        slow = brute_force_optimal(model, prune=False)
+        fast = enumerate_optimal(model)
+        slow = enumerate_optimal(model, prune=False)
         assert fast.optimal_fitness == slow.optimal_fitness == ORACLE_OPTIMA[name]
         assert fast.states_explored <= slow.states_explored
         assert set(fast.optimal_plans) == set(slow.optimal_plans) or (
             fast.truncated or slow.truncated
         )
+
+
+@pytest.mark.parametrize("plan_cap", [3, 64])
+@pytest.mark.parametrize(
+    "weights", [(2, 1, 1), (1, 1, 1), (3, 2, 1), (1, 0, 0), (0, 1, 1), (0.7, 0.2, 0.1)]
+)
+def test_dp_matches_enumeration(weights, plan_cap):
+    # same optimum, same plans in the same order, same truncation; the
+    # (0.7, 0.2, 0.1) weights make tied float sums differ in the last bits
+    for name in ORACLE_OPTIMA:
+        model = load_fixture(name)
+        dp = brute_force_optimal(model, Weights(*weights), plan_cap=plan_cap)
+        ref = enumerate_optimal(model, Weights(*weights), plan_cap=plan_cap)
+        assert dp.optimal_fitness == pytest.approx(ref.optimal_fitness, abs=1e-9), name
+        assert dp.optimal_plans == ref.optimal_plans, name
+        assert dp.truncated == ref.truncated, name
+
+
+@pytest.mark.parametrize("name,cap", [("product1", 8), ("product2", 19)])
+def test_dp_reaches_stack_targets_at_product_scale(name, cap):
+    model = load_fixture(name)
+    res = brute_force_optimal(model, cap=cap)
+    assert res.optimal_fitness == STACK_TARGETS[name]
+    assert res.optimal_plans
+    for plan in res.optimal_plans:
+        validate_chromosome(model, plan)
+        assert algebraic_fitness(metrics(model, plan), Weights()) == res.optimal_fitness
 
 
 def test_all_fixture_optima_are_frozen_values():
@@ -161,7 +189,8 @@ def test_isomorphic_relabeling_preserves_optimum(rng):
     relabeled = product_from_dict(d)
     res = brute_force_optimal(relabeled)
     assert res.optimal_fitness == base.optimal_fitness
-    assert res.states_explored == base.states_explored or True  # order-dependent
+    # relabeling maps reachable DP states one to one
+    assert res.states_explored == base.states_explored
     assert len(res.optimal_plans) == len(base.optimal_plans) or (
         res.truncated and base.truncated
     )

@@ -130,6 +130,19 @@ def test_component_ids_must_cover_range():
         product_from_dict(bad)
 
 
+def test_boolean_ids_are_rejected():
+    # JSON false would otherwise pass as id 0
+    bad = doc(2, ["+x"])
+    bad["components"][0]["id"] = False
+    with pytest.raises(ProductParseError, match=r"components\[0\]\.id must be int, got bool"):
+        product_from_dict(bad)
+
+
+def test_no_directions_gives_model_message():
+    with pytest.raises(ProductValidationError, match="no directions"):
+        product_from_dict(doc(2, []))
+
+
 def test_missing_keys_are_parse_errors():
     for key in ("name", "components", "directions", "grippers", "interference"):
         bad = doc(2, ["+x"])
@@ -142,6 +155,14 @@ def test_matrix_entries_must_be_binary():
     bad = doc(2, ["+x"])
     bad["interference"]["+x"][0][1] = 2
     with pytest.raises(ProductError, match=r"\+x"):
+        product_from_dict(bad)
+
+
+@pytest.mark.parametrize("key", ["interference", "contact", "connection"])
+def test_boolean_matrix_entries_are_rejected(key):
+    bad = doc(2, ["+x"])
+    bad[key]["+x"][0][1] = True
+    with pytest.raises(ProductValidationError, match=r"must be 0 or 1, got True"):
         product_from_dict(bad)
 
 
