@@ -6,141 +6,57 @@ searches for low tool-change, fully feasible plans with a genetic algorithm.
 Fuzzy logic enters twice: a Mamdani ranking system can replace the algebraic
 fitness, and a fuzzy controller can steer mutation and crossover rates at
 run time.
+
+The package root re-exports what the README, the demos and the tools use,
+plus the public error classes; everything else lives in the submodules.
 """
 
 from .bench import (
     ExperimentAborted,
-    ExperimentReport,
     ExperimentSpec,
     ExperimentSpecError,
-    emit_curves,
-    fixture_hash,
-    manifest_dict,
-    report_to_dict,
     run_experiment,
-    spec_from_dict,
     spec_from_json,
     write_outputs,
-    write_partial,
 )
-from .encoding import (
-    PlanChromosome,
-    PlanMetrics,
-    crossover,
-    metrics,
-    mutate,
-    plan_record,
-    random_chromosome,
-    validate_chromosome,
-)
-from .fitness import (
-    EvalContext,
-    FitnessMode,
-    Weights,
-    adaptive_fitness,
-    algebraic_fitness,
-    fuzzy_fitness,
-    normalized_measures,
-    rank_population,
-)
-from .fuzzy import (
-    ControllerSystems,
-    FuzzyRule,
-    FuzzySystem,
-    IncompleteRuleBaseError,
-    LinguisticVariable,
-    TriangularMF,
-    build_controller_system,
-    build_ranking_system,
-    infer,
-)
-from .ga import (
-    GAConfig,
-    GenerationStats,
-    RunResult,
-    controller_update,
-    evolve,
-    population_diversity,
-    select,
-)
-from .oracle import OracleResult, brute_force_optimal
+from .encoding import PlanMetrics, plan_record
+from .fitness import FitnessMode, Weights, algebraic_fitness, fuzzy_fitness, normalized_measures
+from .fuzzy import IncompleteRuleBaseError, build_controller_system, build_ranking_system
+from .ga import GAConfig, evolve
+from .oracle import brute_force_optimal
 from .product import (
-    CANONICAL_DIRECTIONS,
     ProductError,
-    ProductModel,
     ProductParseError,
     ProductValidationError,
     load_product,
-    opposite_label,
     product_from_dict,
-    product_to_dict,
-    reduce,
-    removable,
-    removed_mask,
-    save_product,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CANONICAL_DIRECTIONS",
-    "ControllerSystems",
-    "EvalContext",
     "ExperimentAborted",
-    "ExperimentReport",
     "ExperimentSpec",
     "ExperimentSpecError",
     "FitnessMode",
-    "FuzzyRule",
-    "FuzzySystem",
     "GAConfig",
-    "GenerationStats",
     "IncompleteRuleBaseError",
-    "LinguisticVariable",
-    "OracleResult",
-    "PlanChromosome",
     "PlanMetrics",
     "ProductError",
-    "ProductModel",
     "ProductParseError",
     "ProductValidationError",
-    "RunResult",
-    "TriangularMF",
     "Weights",
-    "adaptive_fitness",
     "algebraic_fitness",
     "brute_force_optimal",
     "build_controller_system",
     "build_ranking_system",
-    "controller_update",
-    "crossover",
-    "emit_curves",
     "evolve",
-    "fixture_hash",
     "fuzzy_fitness",
-    "infer",
     "load_product",
-    "manifest_dict",
-    "metrics",
-    "mutate",
     "normalized_measures",
-    "opposite_label",
     "plan_record",
-    "population_diversity",
     "product_from_dict",
-    "product_to_dict",
-    "random_chromosome",
-    "rank_population",
-    "reduce",
-    "removable",
-    "removed_mask",
-    "report_to_dict",
     "run_experiment",
-    "save_product",
-    "select",
-    "spec_from_dict",
     "spec_from_json",
-    "validate_chromosome",
     "write_outputs",
-    "write_partial",
 ]

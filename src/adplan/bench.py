@@ -14,12 +14,12 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .encoding import plan_record
-from .fitness import FitnessMode, Weights
+from .fitness import FitnessMode, Weights, rank_key
 from .ga import GAConfig, RunResult, evolve
 from .product import ProductModel, load_product
 
@@ -40,29 +40,13 @@ class ExperimentAborted(RuntimeError):
         self.results = results
 
 
-_SPEC_KEYS = {
-    "product",
-    "modes",
-    "runs",
-    "seed",
-    "population",
-    "mutation",
-    "crossover",
-    "generations",
-    "weights",
-    "mutationBounds",
-    "crossoverBounds",
-    "successTarget",
-    "fixtureHash",
-}
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything that defines an experiment, minus runtime concerns.
 
     Worker count and output directory are deliberately not part of the spec:
-    they must not influence any emitted byte.
+    they must not influence any emitted byte.  The GA settings default to
+    GAConfig's.
     """
 
     product_path: Path
@@ -70,14 +54,14 @@ class ExperimentSpec:
     modes: tuple[FitnessMode, ...] = tuple(FitnessMode)
     runs: int = 20
     base_seed: int = 0
-    population_size: int = 80
-    mutation_prob: float = 0.8
-    crossover_rate: float = 0.4
-    max_generations: int = 300
-    weights: Weights = dc_field(default_factory=Weights)
-    mutation_bounds: tuple[float, float] = (0.2, 0.95)
-    crossover_bounds: tuple[float, float] = (0.1, 0.8)
-    success_target: float | None = None
+    population_size: int = GAConfig.population_size
+    mutation_prob: float = GAConfig.mutation_prob
+    crossover_rate: float = GAConfig.crossover_rate
+    max_generations: int = GAConfig.max_generations
+    weights: Weights = GAConfig.weights
+    mutation_bounds: tuple[float, float] = GAConfig.mutation_bounds
+    crossover_bounds: tuple[float, float] = GAConfig.crossover_bounds
+    success_target: float | None = GAConfig.success_target
     fixture_hash: str | None = None
 
     def __post_init__(self) -> None:
@@ -91,18 +75,77 @@ class ExperimentSpec:
         self.config_for(self.modes[0], self.base_seed)
 
     def config_for(self, mode: FitnessMode, seed: int) -> GAConfig:
-        return GAConfig(
-            population_size=self.population_size,
-            mutation_prob=self.mutation_prob,
-            crossover_rate=self.crossover_rate,
-            max_generations=self.max_generations,
-            mode=mode,
-            weights=self.weights,
-            seed=seed,
-            mutation_bounds=self.mutation_bounds,
-            crossover_bounds=self.crossover_bounds,
-            success_target=self.success_target,
-        )
+        shared = {f.attr: getattr(self, f.attr) for f in _FIELDS if f.attr in _GA_ATTRS}
+        return GAConfig(mode=mode, seed=seed, **shared)
+
+
+# -- spec fields: JSON key, ExperimentSpec attribute, reader, writer ----------
+
+
+def _scalar(kinds: tuple[type, ...], what: str, convert: Callable = lambda v: v) -> Callable:
+    """Reader that accepts only values of exactly these JSON types."""
+
+    def read(key: str, value: object) -> object:
+        if type(value) not in kinds:  # exact, so a JSON true is no number
+            raise ExperimentSpecError(f"{key} must be {what}, got {value!r}")
+        return convert(value)
+
+    return read
+
+
+_NULL = type(None)
+_integer = _scalar((int,), "an integer")
+_number = _scalar((int, float), "a number", float)
+
+
+def _numbers(count: int, words: str) -> Callable[[str, object], tuple[float, ...]]:
+    def read(key: str, value: object) -> tuple[float, ...]:
+        if not isinstance(value, (list, tuple)) or len(value) != count or not all(
+            type(x) in (int, float) for x in value
+        ):
+            raise ExperimentSpecError(f"{key} must be a list of {words} numbers, got {value!r}")
+        return tuple(map(float, value))
+
+    return read
+
+
+def _modes(key: str, value: object) -> tuple[FitnessMode, ...]:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(m, str) for m in value):
+        raise ExperimentSpecError(f"{key} must be a list of mode letters, got {value!r}")
+    return tuple(FitnessMode.from_letter(m) for m in value)
+
+
+class _Field(NamedTuple):
+    key: str
+    attr: str
+    read: Callable[[str, object], object]
+    write: Callable[[object], object] = lambda value: value
+
+
+_FIELDS = (
+    _Field("product", "product_ref", _scalar((str,), "a string")),
+    _Field("modes", "modes", _modes, lambda modes: [m.value for m in modes]),
+    _Field("runs", "runs", _integer),
+    _Field("seed", "base_seed", _integer),
+    _Field("population", "population_size", _integer),
+    _Field("mutation", "mutation_prob", _number),
+    _Field("crossover", "crossover_rate", _number),
+    _Field("generations", "max_generations", _integer),
+    _Field(
+        "weights", "weights",
+        lambda key, value: Weights(*_numbers(3, "three")(key, value)),
+        lambda weights: list(weights.as_tuple()),
+    ),
+    _Field("mutationBounds", "mutation_bounds", _numbers(2, "two"), list),
+    _Field("crossoverBounds", "crossover_bounds", _numbers(2, "two"), list),
+    _Field(
+        "successTarget", "success_target",
+        _scalar((int, float, _NULL), "a number or null", lambda v: v if v is None else float(v)),
+    ),
+    _Field("fixtureHash", "fixture_hash", _scalar((str, _NULL), "a string or null")),
+)
+_SPEC_KEYS = {f.key for f in _FIELDS}
+_GA_ATTRS = {f.name for f in fields(GAConfig)}
 
 
 def spec_from_dict(data: Mapping, base_dir: Path) -> ExperimentSpec:
@@ -113,43 +156,11 @@ def spec_from_dict(data: Mapping, base_dir: Path) -> ExperimentSpec:
         raise ExperimentSpecError(f"unknown experiment spec keys: {sorted(unknown)}")
     if "product" not in data:
         raise ExperimentSpecError("experiment spec needs a 'product' path")
-    ref = data["product"]
-    path = Path(ref)
+    kwargs = {f.attr: f.read(f.key, data[f.key]) for f in _FIELDS if f.key in data}
+    path = Path(kwargs["product_ref"])
     if not path.is_absolute():
         path = base_dir / path
-    letters = data.get("modes", list("ABCD"))
-    if not isinstance(letters, (list, tuple)) or not all(isinstance(m, str) for m in letters):
-        raise ExperimentSpecError(f"modes must be a list of mode letters, got {letters!r}")
-    modes = tuple(FitnessMode.from_letter(m) for m in letters)
-    weights = data.get("weights")
-    kwargs = dict(
-        product_path=path,
-        product_ref=str(ref),
-        modes=modes,
-        runs=int(data.get("runs", 20)),
-        base_seed=int(data.get("seed", 0)),
-        population_size=int(data.get("population", 80)),
-        mutation_prob=float(data.get("mutation", 0.8)),
-        crossover_rate=float(data.get("crossover", 0.4)),
-        max_generations=int(data.get("generations", 300)),
-        success_target=None if data.get("successTarget") is None else float(data["successTarget"]),
-        fixture_hash=data.get("fixtureHash"),
-    )
-    if weights is not None:
-        kwargs["weights"] = Weights(*_numbers(data, "weights", 3, "three"))
-    for key, attr in (("mutationBounds", "mutation_bounds"), ("crossoverBounds", "crossover_bounds")):
-        if key in data:
-            kwargs[attr] = _numbers(data, key, 2, "two")
-    return ExperimentSpec(**kwargs)
-
-
-def _numbers(data: Mapping, key: str, count: int, words: str) -> tuple[float, ...]:
-    value = data[key]
-    if not isinstance(value, (list, tuple)) or len(value) != count or not all(
-        type(x) in (int, float) for x in value  # a JSON true is no number
-    ):
-        raise ExperimentSpecError(f"{key} must be a list of {words} numbers, got {value!r}")
-    return tuple(map(float, value))
+    return ExperimentSpec(product_path=path, **kwargs)
 
 
 def spec_from_json(path: str | Path) -> ExperimentSpec:
@@ -246,15 +257,8 @@ def _summarize(mode: FitnessMode, results: tuple[RunResult, ...]) -> ModeSummary
     def mean(attr: str, g: int) -> float:
         return sum(getattr(r.stats[g], attr) for r in results) / runs
 
-    best = min(
-        results,
-        key=lambda r: (
-            -r.best_algebraic,
-            r.best_metrics.orient_changes,
-            r.best_metrics.grip_changes,
-            r.seed,
-        ),
-    )
+    # results are in seed order and min keeps the first of equals
+    best = min(results, key=lambda r: rank_key(r.best_algebraic, r.best_metrics))
     successes = sum(1 for r in results if r.success)
     return ModeSummary(
         mode=mode,
@@ -331,20 +335,9 @@ def manifest_dict(report: ExperimentReport) -> dict:
     replays from any working directory; a rerun then emits these same bytes.
     """
     spec = report.spec
-    return {
+    return {f.key: f.write(getattr(spec, f.attr)) for f in _FIELDS} | {
         "product": str(spec.product_path.resolve()),
         "fixtureHash": report.product_hash,
-        "modes": [m.value for m in spec.modes],
-        "runs": spec.runs,
-        "seed": spec.base_seed,
-        "population": spec.population_size,
-        "mutation": spec.mutation_prob,
-        "crossover": spec.crossover_rate,
-        "generations": spec.max_generations,
-        "weights": list(spec.weights.as_tuple()),
-        "mutationBounds": list(spec.mutation_bounds),
-        "crossoverBounds": list(spec.crossover_bounds),
-        "successTarget": spec.success_target,
     }
 
 

@@ -57,11 +57,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="run the GA once and print/write the best plan")
     p.add_argument("product", help="product JSON file")
     p.add_argument("--mode", default="A", help="run mode: A, B, C or D (default A)")
-    p.add_argument("--pop", type=int, default=80, help="population size (default 80)")
-    p.add_argument("--mut", type=float, default=0.8, help="mutation probability (default 0.8)")
-    p.add_argument("--cross", type=float, default=0.4, help="crossover rate (default 0.4)")
-    p.add_argument("--gens", type=int, default=300, help="generations (default 300)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--pop", type=int, default=GAConfig.population_size,
+                   help="population size (default %(default)s)")
+    p.add_argument("--mut", type=float, default=GAConfig.mutation_prob,
+                   help="mutation probability (default %(default)s)")
+    p.add_argument("--cross", type=float, default=GAConfig.crossover_rate,
+                   help="crossover rate (default %(default)s)")
+    p.add_argument("--gens", type=int, default=GAConfig.max_generations,
+                   help="generations (default %(default)s)")
+    p.add_argument("--seed", type=int, default=GAConfig.seed, help="RNG seed (default %(default)s)")
     p.add_argument("--weights", type=str, default=None, help="fitness weights, e.g. 2,1,1")
     p.add_argument("--target", type=float, default=None, help="algebraic fitness counted as success")
     p.add_argument("--out", type=str, default=None, help="directory for best_plan.json (default: stdout)")
@@ -91,7 +95,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         crossover_rate=args.cross,
         max_generations=args.gens,
         mode=FitnessMode.from_letter(args.mode),
-        weights=_parse_weights(args.weights) if args.weights else Weights(),
+        weights=_parse_weights(args.weights) if args.weights else GAConfig.weights,
         seed=args.seed,
         success_target=args.target,
     )

@@ -18,9 +18,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field as dc_field
 
-from .encoding import PlanChromosome, PlanMetrics, metrics
+from .encoding import PlanMetrics
 from .fuzzy import FuzzySystem, build_ranking_system
-from .product import ProductModel
 
 
 @dataclass(frozen=True)
@@ -80,6 +79,13 @@ def adaptive_fitness(m: PlanMetrics, weights: Weights, population_all_feasible: 
     return algebraic_fitness(m, weights)
 
 
+def rank_key(value: float, metrics: PlanMetrics) -> tuple[float, int, int]:
+    """Sort key that puts the better plan first: higher fitness, then fewer
+    orientation changes, then fewer gripper changes.
+    """
+    return (-value, metrics.orient_changes, metrics.grip_changes)
+
+
 def normalized_measures(m: PlanMetrics) -> dict[str, float]:
     """Map plan metrics onto the three [0, 1] inputs of the ranking system.
 
@@ -103,7 +109,7 @@ def fuzzy_fitness(m: PlanMetrics, system: FuzzySystem) -> float:
 
 @dataclass
 class EvalContext:
-    """Everything rank_population needs besides the chromosomes.
+    """Everything fitness evaluation needs besides the plan metrics.
 
     ``all_feasible`` is the latched adaptive phase flag; the GA flips it once
     and never clears it.  ``cache`` memoizes fuzzy inference per distinct
@@ -111,15 +117,14 @@ class EvalContext:
     affordable on large products.
     """
 
-    model: ProductModel
     mode: FitnessMode = FitnessMode.ALGEBRAIC
     weights: Weights = Weights()
     all_feasible: bool = False
-    ranking_system: FuzzySystem | None = None
     cache: dict = dc_field(default_factory=dict)
+    ranking_system: FuzzySystem | None = dc_field(default=None, init=False)
 
     def __post_init__(self) -> None:
-        if self.mode is FitnessMode.FUZZY_RANKED and self.ranking_system is None:
+        if self.mode is FitnessMode.FUZZY_RANKED:
             self.ranking_system = build_ranking_system()
 
     def evaluate(self, m: PlanMetrics) -> float:
@@ -133,22 +138,3 @@ class EvalContext:
         if self.mode.adaptive:
             return adaptive_fitness(m, self.weights, self.all_feasible)
         return algebraic_fitness(m, self.weights)
-
-
-def rank_population(
-    population: list[PlanChromosome], ctx: EvalContext
-) -> list[tuple[PlanChromosome, float, PlanMetrics]]:
-    """Score and sort a population, best first.
-
-    Ties on fitness are broken toward fewer orientation changes, then fewer
-    gripper changes, then original position (stable).
-    """
-    scored = []
-    for chrom in population:
-        m = metrics(ctx.model, chrom)
-        scored.append((chrom, ctx.evaluate(m), m))
-    order = sorted(
-        range(len(scored)),
-        key=lambda i: (-scored[i][1], scored[i][2].orient_changes, scored[i][2].grip_changes, i),
-    )
-    return [scored[i] for i in order]

@@ -185,11 +185,6 @@ class FuzzySystem:
         return float((self._grid * agg).sum() / total)
 
 
-def infer(system: FuzzySystem, values: Mapping[str, float]) -> float:
-    """Functional alias for :meth:`FuzzySystem.infer`."""
-    return system.infer(values)
-
-
 class ControllerSystems(NamedTuple):
     """The two single-output systems that make up the parameter controller."""
 

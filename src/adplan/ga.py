@@ -17,8 +17,8 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .encoding import (
     PlanChromosome,
@@ -27,9 +27,8 @@ from .encoding import (
     metrics,
     mutate,
     random_chromosome,
-    validate_chromosome,
 )
-from .fitness import EvalContext, FitnessMode, Weights, algebraic_fitness
+from .fitness import EvalContext, FitnessMode, Weights, algebraic_fitness, rank_key
 from .fuzzy import ControllerSystems, build_controller_system
 from .product import ProductModel
 
@@ -44,7 +43,7 @@ class GAConfig:
     crossover_rate: float = 0.4
     max_generations: int = 300
     mode: FitnessMode = FitnessMode.ALGEBRAIC
-    weights: Weights = dc_field(default_factory=Weights)
+    weights: Weights = Weights()
     seed: int = 0
     # controller clamp bounds, also validated for non-controller modes
     mutation_bounds: tuple[float, float] = (0.2, 0.95)
@@ -95,11 +94,11 @@ class RunResult:
     """Outcome of one evolve() call.
 
     ``best`` is the best individual ever seen under the run's own fitness
-    mode (within the final adaptive phase, if any), with ties broken toward
-    fewer orientation changes then fewer gripper changes.  ``best_algebraic``
-    scores that same plan on the algebraic scale so runs of different modes
-    can be compared; success is judged on that value.  ``elapsed_seconds``
-    stays in memory only; emitted artifacts carry no timing data.
+    mode (within the final adaptive phase, if any), ordered by
+    ``fitness.rank_key``.  ``best_algebraic`` scores that same plan on the
+    algebraic scale so runs of different modes can be compared; success is
+    judged on that value.  ``elapsed_seconds`` stays in memory only; emitted
+    artifacts carry no timing data.
     """
 
     mode: FitnessMode
@@ -179,34 +178,19 @@ def controller_update(
     return new_mut, new_cross
 
 
-def evolve(
-    model: ProductModel,
-    config: GAConfig,
-    *,
-    ranking_system=None,
-    controller: ControllerSystems | None = None,
-    fitness_fn: Callable[[PlanMetrics], float] | None = None,
-    audit: bool = False,
-) -> RunResult:
+def evolve(model: ProductModel, config: GAConfig) -> RunResult:
     """Run the GA to completion and return the best plan found.
 
     Deterministic for a given (model, config): all randomness flows from one
-    random.Random seeded with config.seed.  ``fitness_fn`` overrides the
-    mode's fitness (diagnostics); ``audit`` re-validates every chromosome
-    each generation and is meant for tests.
+    random.Random seeded with config.seed.
     """
     if model.n == 0:
         raise ValueError("cannot plan for a product with no components")
     t0 = time.perf_counter()
     rng = random.Random(config.seed)
-    ctx = EvalContext(
-        model=model,
-        mode=config.mode,
-        weights=config.weights,
-        ranking_system=ranking_system,
-    )
-    if config.mode is FitnessMode.ADAPTIVE_CONTROLLED and controller is None:
-        controller = build_controller_system()
+    ctx = EvalContext(mode=config.mode, weights=config.weights)
+    controlled = config.mode is FitnessMode.ADAPTIVE_CONTROLLED
+    controller = build_controller_system() if controlled else None
 
     pop = [random_chromosome(model, rng) for _ in range(config.population_size)]
     known: list[PlanMetrics | None] = [None] * len(pop)
@@ -218,30 +202,17 @@ def evolve(
     best_m: PlanMetrics | None = None
 
     for gen in range(config.max_generations):
-        if audit:
-            for c in pop:
-                validate_chromosome(model, c)
         mlist = [metrics(model, c) if m is None else m for c, m in zip(pop, known)]
         feasible = sum(1 for m in mlist if m.feasible_len == m.n_parts)
         if ctx.mode.adaptive and not ctx.all_feasible and feasible == len(pop):
             ctx.all_feasible = True
             best_key = None  # fitness scale changed with the phase
-        if fitness_fn is None:
-            values = [ctx.evaluate(m) for m in mlist]
-        else:
-            values = [fitness_fn(m) for m in mlist]
+        values = [ctx.evaluate(m) for m in mlist]
         scored = list(zip(pop, values, mlist))
-        best_i = min(
-            range(len(pop)),
-            key=lambda i: (-values[i], mlist[i].orient_changes, mlist[i].grip_changes, i),
-        )
-        cand_key = (
-            -values[best_i],
-            mlist[best_i].orient_changes,
-            mlist[best_i].grip_changes,
-        )
-        if best_key is None or cand_key < best_key:
-            best_key = cand_key
+        keys = [rank_key(v, m) for v, m in zip(values, mlist)]
+        best_i = min(range(len(pop)), key=keys.__getitem__)  # first of equals
+        if best_key is None or keys[best_i] < best_key:
+            best_key = keys[best_i]
             best_chrom = pop[best_i]
             best_m = mlist[best_i]
         history.append(
@@ -259,7 +230,7 @@ def evolve(
         )
         if gen == config.max_generations - 1:
             break
-        if config.mode is FitnessMode.ADAPTIVE_CONTROLLED:
+        if controlled:
             mut_p, cross_r = controller_update(history, controller, config)
         pop, known = _breed(scored, best_i, mut_p, cross_r, model, rng)
 

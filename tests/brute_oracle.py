@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import math
 
-from adplan import OracleResult, PlanChromosome, ProductModel, Weights
+from adplan.encoding import PlanChromosome
+from adplan.fitness import Weights
+from adplan.oracle import OracleResult
+from adplan.product import ProductModel
 
 
 def enumerate_optimal(

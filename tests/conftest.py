@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from adplan import ProductModel, product_from_dict
+from adplan.product import ProductModel, product_from_dict
 
 FIXTURE_DIR = Path(str(resources.files("adplan") / "fixtures"))
 

@@ -16,25 +16,19 @@ from pathlib import Path
 
 import pytest
 
-from adplan import (
-    FitnessMode,
+from adplan.bench import run_experiment, spec_from_dict, write_outputs
+from adplan.cli import main
+from adplan.encoding import PlanMetrics
+from adplan.fitness import FitnessMode, Weights, adaptive_fitness, algebraic_fitness
+from adplan.fuzzy import (
     FuzzyRule,
     FuzzySystem,
-    GAConfig,
     LinguisticVariable,
-    PlanMetrics,
     TriangularMF,
-    Weights,
-    adaptive_fitness,
-    algebraic_fitness,
-    brute_force_optimal,
     build_ranking_system,
-    evolve,
-    run_experiment,
-    spec_from_dict,
-    write_outputs,
 )
-from adplan.cli import main
+from adplan.ga import GAConfig, evolve
+from adplan.oracle import brute_force_optimal
 from conftest import ACCEPTANCE_LINES, FIXTURE_DIR, ORACLE_OPTIMA, load_fixture
 
 

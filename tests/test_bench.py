@@ -8,11 +8,9 @@ from pathlib import Path
 import pytest
 
 import adplan.bench
-from adplan import (
+from adplan.bench import (
     ExperimentAborted,
     ExperimentSpecError,
-    FitnessMode,
-    Weights,
     emit_curves,
     fixture_hash,
     manifest_dict,
@@ -23,6 +21,7 @@ from adplan import (
     write_outputs,
     write_partial,
 )
+from adplan.fitness import FitnessMode, Weights
 from conftest import FIXTURE_DIR, fixture_path
 
 

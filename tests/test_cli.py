@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import adplan.bench
-from adplan import fixture_hash
+from adplan.bench import fixture_hash
 from adplan.cli import main
 from conftest import FIXTURE_DIR, fixture_path
 from test_product import doc
@@ -273,14 +273,38 @@ def test_experiment_unknown_spec_key_exits_2(capsys, tmp_path):
         ("crossoverBounds", [True, 0.8]),
         ("modes", [1]),
         ("modes", "AB"),
+        ("product", 5),
+        ("generations", None),
+        ("seed", [1]),
+        ("runs", 2.5),
+        ("population", True),
+        ("runs", "2"),
+        ("mutation", "0.8"),
+        ("crossover", False),
+        ("successTarget", "18"),
+        ("fixtureHash", 5),
     ],
 )
 def test_experiment_malformed_spec_field_exits_2(capsys, tmp_path, key, value):
+    expected = {
+        "mutationBounds": "a list",
+        "crossoverBounds": "a list",
+        "modes": "a list",
+        "product": "a string,",
+        "generations": "an integer",
+        "seed": "an integer",
+        "runs": "an integer",
+        "population": "an integer",
+        "mutation": "a number,",
+        "crossover": "a number,",
+        "successTarget": "a number or null",
+        "fixtureHash": "a string or null",
+    }[key]
     spec = write_spec(tmp_path, **{key: value})
     code, out, err = run_cli(capsys, "experiment", spec, "--out", tmp_path / "results")
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {key} must be a list")
+    assert err.startswith(f"error: {key} must be {expected}")
     assert err.count("\n") == 1  # one line, no traceback
 
 

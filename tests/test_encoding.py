@@ -7,19 +7,18 @@ from collections import Counter
 
 import pytest
 
-from adplan import (
+from adplan.encoding import (
     PlanChromosome,
     crossover,
     metrics,
     mutate,
     plan_record,
-    product_from_dict,
     random_chromosome,
-    reduce,
-    removable,
     validate_chromosome,
 )
+from adplan.product import product_from_dict
 from conftest import ORACLE_OPTIMA, STACK_TARGETS, StubRandom, load_fixture
+from removal_reference import reduce, removable
 from test_product import doc, random_model, zeros
 
 

@@ -7,21 +7,20 @@ from fractions import Fraction
 
 import pytest
 
-from adplan import (
+from adplan.encoding import PlanChromosome, PlanMetrics, metrics, random_chromosome
+from adplan.fitness import (
     EvalContext,
     FitnessMode,
-    PlanChromosome,
-    PlanMetrics,
     Weights,
     adaptive_fitness,
     algebraic_fitness,
     fuzzy_fitness,
     normalized_measures,
-    rank_population,
+    rank_key,
 )
 from adplan.fuzzy import build_ranking_system
 from test_product import doc, random_model
-from adplan import product_from_dict
+from adplan.product import product_from_dict
 
 
 def pm(l, o, g, n):
@@ -239,19 +238,29 @@ def free_model(n=3):
     return product_from_dict(doc(n, ["+y", "-x"]))
 
 
+def rank_population(model, population, ctx):
+    """Score a population and sort it best first by rank_key; the sort is
+    stable, so equal keys keep their original order as in evolve."""
+    scored = []
+    for chrom in population:
+        m = metrics(model, chrom)
+        scored.append((chrom, ctx.evaluate(m), m))
+    return sorted(scored, key=lambda row: rank_key(row[1], row[2]))
+
+
 def test_rank_population_singleton():
     model = free_model(1)
     pop = [PlanChromosome((0,), (0,), (0,))]
-    ranked = rank_population(pop, EvalContext(model))
+    ranked = rank_population(model, pop, EvalContext())
     assert len(ranked) == 1 and ranked[0][0] is pop[0]
 
 
 def test_rank_population_mode_a_ordering():
     model = free_model(3)
-    ctx = EvalContext(model, FitnessMode.ALGEBRAIC, Weights(1, 1, 1))
+    ctx = EvalContext(FitnessMode.ALGEBRAIC, Weights(1, 1, 1))
     clean = PlanChromosome((0, 1, 2), (0, 0, 0), (0, 0, 0))  # o=0, g=0 -> 7
     churn = PlanChromosome((0, 1, 2), (0, 1, 0), (0, 0, 0))  # o=2 -> 5
-    ranked = rank_population([churn, clean], ctx)
+    ranked = rank_population(model, [churn, clean], ctx)
     assert ranked[0][0] is clean
     assert ranked[0][1] == 7.0
     assert ranked[1][1] == 5.0
@@ -262,41 +271,35 @@ def test_rank_population_tie_breaks_orient_then_grip_then_order():
         doc(3, ["+y", "-x"], {i: ["G1", "G2"] for i in range(3)}, ["G1", "G2"])
     )
     # equal fitness under w=(1, 0, 0); distinct o and g profiles
-    ctx = EvalContext(model, FitnessMode.ALGEBRAIC, Weights(1, 0, 0))
+    ctx = EvalContext(FitnessMode.ALGEBRAIC, Weights(1, 0, 0))
     churn_o = PlanChromosome((0, 1, 2), (0, 1, 0), (0, 0, 0))
     churn_g = PlanChromosome((0, 1, 2), (0, 0, 0), (0, 1, 1))
     calm = PlanChromosome((0, 1, 2), (0, 0, 0), (0, 0, 0))
     calm_twin = PlanChromosome((1, 0, 2), (0, 0, 0), (0, 0, 0))
-    ranked = rank_population([churn_o, churn_g, calm, calm_twin], ctx)
+    ranked = rank_population(model, [churn_o, churn_g, calm, calm_twin], ctx)
     assert [r[0] for r in ranked] == [calm, calm_twin, churn_g, churn_o]
 
 
 def test_rank_population_modes_a_and_c_agree_when_latched(rng):
     model = free_model(4)
-    pop = []
-    from adplan import random_chromosome
-
-    for _ in range(12):
-        pop.append(random_chromosome(model, rng))
-    ctx_a = EvalContext(model, FitnessMode.ALGEBRAIC)
-    ctx_c = EvalContext(model, FitnessMode.ADAPTIVE, all_feasible=True)
-    ra = rank_population(pop, ctx_a)
-    rc = rank_population(pop, ctx_c)
+    pop = [random_chromosome(model, rng) for _ in range(12)]
+    ctx_a = EvalContext(FitnessMode.ALGEBRAIC)
+    ctx_c = EvalContext(FitnessMode.ADAPTIVE, all_feasible=True)
+    ra = rank_population(model, pop, ctx_a)
+    rc = rank_population(model, pop, ctx_c)
     assert [r[0] for r in ra] == [r[0] for r in rc]
     assert [r[1] for r in ra] == [r[1] for r in rc]
 
 
 def test_eval_context_builds_ranking_for_mode_b():
-    model = free_model(2)
-    ctx = EvalContext(model, FitnessMode.FUZZY_RANKED)
+    ctx = EvalContext(FitnessMode.FUZZY_RANKED)
     assert ctx.ranking_system is not None
     m = pm(2, 0, 0, 2)
     assert ctx.evaluate(m) == fuzzy_fitness(m, ctx.ranking_system)
 
 
 def test_eval_context_caches_fuzzy_triples():
-    model = free_model(3)
-    ctx = EvalContext(model, FitnessMode.FUZZY_RANKED)
+    ctx = EvalContext(FitnessMode.FUZZY_RANKED)
     assert ctx.cache == {}
     v1 = ctx.evaluate(pm(3, 1, 0, 3))
     assert list(ctx.cache) == [(3, 1, 0)]
@@ -306,13 +309,12 @@ def test_eval_context_caches_fuzzy_triples():
 
 
 def test_eval_context_modes_dispatch():
-    model = free_model(3)
     m = pm(2, 1, 1, 3)
     w = Weights(2, 1, 1)
-    assert EvalContext(model, FitnessMode.ALGEBRAIC, w).evaluate(m) == algebraic_fitness(m, w)
-    assert EvalContext(model, FitnessMode.ADAPTIVE, w).evaluate(m) == 2.0
+    assert EvalContext(FitnessMode.ALGEBRAIC, w).evaluate(m) == algebraic_fitness(m, w)
+    assert EvalContext(FitnessMode.ADAPTIVE, w).evaluate(m) == 2.0
     assert (
-        EvalContext(model, FitnessMode.ADAPTIVE, w, all_feasible=True).evaluate(m)
+        EvalContext(FitnessMode.ADAPTIVE, w, all_feasible=True).evaluate(m)
         == algebraic_fitness(m, w)
     )
-    assert EvalContext(model, FitnessMode.ADAPTIVE_CONTROLLED, w).evaluate(m) == 2.0
+    assert EvalContext(FitnessMode.ADAPTIVE_CONTROLLED, w).evaluate(m) == 2.0

@@ -18,7 +18,6 @@ from adplan.fuzzy import (
     TriangularMF,
     build_controller_system,
     build_ranking_system,
-    infer,
     load_fuzzy_config,
 )
 
@@ -228,12 +227,6 @@ def test_rule_and_system_validation():
         FuzzySystem(
             inputs=(x,), output=y, rules=(FuzzyRule((("x", "m"),), "nope"),)
         )
-
-
-def test_functional_alias_matches_method():
-    system = build_ranking_system()
-    vals = {k: 0.4 for k in RANK_INPUTS}
-    assert infer(system, vals) == system.infer(vals)
 
 
 # -- ranking system ----------------------------------------------------------

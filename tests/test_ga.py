@@ -7,23 +7,19 @@ import random
 import pytest
 
 import adplan.ga
-from adplan import (
-    FitnessMode,
+from adplan.encoding import PlanChromosome, PlanMetrics, validate_chromosome
+from adplan.fitness import EvalContext, FitnessMode, Weights
+from adplan.ga import (
     GAConfig,
     GenerationStats,
-    PlanChromosome,
-    PlanMetrics,
     RunResult,
-    Weights,
-    algebraic_fitness,
     controller_update,
     evolve,
-    load_product,
     population_diversity,
-    product_from_dict,
     select,
 )
 from adplan.fuzzy import build_controller_system
+from adplan.product import load_product, product_from_dict
 from conftest import ORACLE_OPTIMA, StubRandom, load_fixture
 from test_product import doc
 
@@ -260,7 +256,7 @@ def test_controller_update_stagnation_caps_at_horizon():
 
 def test_evolve_rejects_empty_product():
     model = product_from_dict(doc(1, ["+x"]))
-    from adplan import reduce
+    from removal_reference import reduce
 
     empty = reduce(model, 0)
     with pytest.raises(ValueError, match="no components"):
@@ -294,42 +290,58 @@ def test_evolve_deterministic_per_seed():
     assert r3.stats != r1.stats
 
 
-def test_evolve_audit_mode_validates_every_generation():
+def test_evolve_audit_mode_validates_every_generation(monkeypatch):
+    # the diversity statistic sees each generation's whole population once
     model = load_fixture("cage5")
+    real_diversity = adplan.ga.population_diversity
+    audited: list[int] = []
+
+    def audit(pop):
+        for c in pop:
+            validate_chromosome(model, c)
+        audited.append(len(pop))
+        return real_diversity(pop)
+
+    monkeypatch.setattr(adplan.ga, "population_diversity", audit)
     cfg = GAConfig(population_size=12, max_generations=15, seed=1)
-    r = evolve(model, cfg, audit=True)
+    r = evolve(model, cfg)
     assert len(r.stats) == 15
+    assert audited == [12] * 15
 
 
 def test_evolve_computes_metrics_only_for_new_chromosomes(monkeypatch):
-    # audit mode shows each generation's population, fitness_fn the metrics
-    # the GA scored it with, the wrapped metrics() the calls actually made
+    # the diversity statistic closes each generation and shows its
+    # population, evaluate() the metrics the GA scored it with, the wrapped
+    # metrics() the calls actually made
     model = load_fixture("cage5")
     size = 20
     real_metrics = adplan.ga.metrics
+    real_diversity = adplan.ga.population_diversity
+    real_evaluate = EvalContext.evaluate
     pops: list[list[PlanChromosome]] = []
-    calls: list[int] = []
-    scored: list[list[PlanMetrics]] = []
+    calls: list[int] = [0]
+    scored: list[list[PlanMetrics]] = [[]]
 
-    def audit(model_, chrom):
-        if not pops or len(pops[-1]) == size:
-            pops.append([])
-            calls.append(0)
-            scored.append([])
-        pops[-1].append(chrom)
+    def diversity(pop):
+        pops.append(list(pop))
+        calls.append(0)
+        scored.append([])
+        return real_diversity(pop)
 
     def counting(model_, chrom):
         calls[-1] += 1
         return real_metrics(model_, chrom)
 
-    def fitness(m):
+    def evaluate(self, m):
         scored[-1].append(m)
-        return algebraic_fitness(m)
+        return real_evaluate(self, m)
 
-    monkeypatch.setattr(adplan.ga, "validate_chromosome", audit)
+    monkeypatch.setattr(adplan.ga, "population_diversity", diversity)
     monkeypatch.setattr(adplan.ga, "metrics", counting)
+    monkeypatch.setattr(EvalContext, "evaluate", evaluate)
     cfg = GAConfig(population_size=size, max_generations=30, seed=2)
-    evolve(model, cfg, fitness_fn=fitness, audit=True)
+    evolve(model, cfg)
+    assert calls.pop() == 0 and scored.pop() == []  # nothing after the last
     assert len(pops) == 30
     assert calls[0] == size
     for prev, pop, n_calls in zip(pops, pops[1:], calls[1:]):
@@ -423,13 +435,15 @@ def test_evolve_phase_flag_latches_once():
     assert all(s.feasible_fraction < 1.0 for s in r.stats[:first])
 
 
-def test_evolve_modes_a_b_identical_under_injected_fitness():
+def test_evolve_modes_a_b_identical_under_injected_fitness(monkeypatch):
     # A and B differ only in the fitness call: pin it and the whole
     # evolution trace must coincide
     model = load_fixture("mixed5")
 
-    def flat_fitness(m):
+    def flat_fitness(ctx, m):
         return float(m.feasible_len * 10 + m.n_parts - m.orient_changes)
+
+    monkeypatch.setattr(EvalContext, "evaluate", flat_fitness)
 
     runs = []
     for letter in "AB":
@@ -439,7 +453,7 @@ def test_evolve_modes_a_b_identical_under_injected_fitness():
             mode=FitnessMode.from_letter(letter),
             seed=9,
         )
-        runs.append(evolve(model, cfg, fitness_fn=flat_fitness))
+        runs.append(evolve(model, cfg))
     a, b = runs
     assert a.best == b.best
     assert a.best_fitness == b.best_fitness
@@ -489,7 +503,8 @@ def test_evolve_result_fields_are_consistent():
     assert isinstance(r, RunResult)
     assert r.mode is FitnessMode.ALGEBRAIC
     assert r.seed == 7
-    from adplan import metrics, algebraic_fitness
+    from adplan.encoding import metrics
+    from adplan.fitness import algebraic_fitness
 
     assert metrics(model, r.best) == r.best_metrics
     assert algebraic_fitness(r.best_metrics, cfg.weights) == r.best_algebraic

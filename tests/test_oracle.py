@@ -7,17 +7,11 @@ import random
 
 import pytest
 
-from adplan import (
-    FitnessMode,
-    GAConfig,
-    Weights,
-    algebraic_fitness,
-    brute_force_optimal,
-    evolve,
-    metrics,
-    product_from_dict,
-    validate_chromosome,
-)
+from adplan.encoding import metrics, validate_chromosome
+from adplan.fitness import FitnessMode, Weights, algebraic_fitness
+from adplan.ga import GAConfig, evolve
+from adplan.oracle import brute_force_optimal
+from adplan.product import product_from_dict
 from brute_oracle import enumerate_optimal
 from conftest import ORACLE_OPTIMA, STACK_TARGETS, load_fixture
 from stack_oracle import stack_optimal_fitness

@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from adplan import (
+from adplan.product import (
     ProductError,
     ProductModel,
     ProductParseError,
@@ -17,12 +17,11 @@ from adplan import (
     opposite_label,
     product_from_dict,
     product_to_dict,
-    reduce,
-    removable,
     removed_mask,
     save_product,
 )
 from conftest import ORACLE_OPTIMA, STACK_TARGETS, fixture_path, load_fixture
+from removal_reference import reduce, removable
 
 DIRS6 = ["+x", "-x", "+y", "-y", "+z", "-z"]
 
@@ -160,10 +159,11 @@ def test_matrix_entries_must_be_binary():
 
 @pytest.mark.parametrize("key", ["interference", "contact", "connection"])
 def test_boolean_matrix_entries_are_rejected(key):
-    bad = doc(2, ["+x"])
-    bad[key]["+x"][0][1] = True
-    with pytest.raises(ProductValidationError, match=r"must be 0 or 1, got True"):
-        product_from_dict(bad)
+    for entry in (True, False, 1.0, 0.0):
+        bad = doc(2, ["+x"])
+        bad[key]["+x"][0][1] = entry
+        with pytest.raises(ProductValidationError, match=rf"must be 0 or 1, got {entry}$"):
+            product_from_dict(bad)
 
 
 def test_missing_direction_matrix_named():
