@@ -71,8 +71,10 @@ class ExperimentSpec:
             raise ExperimentSpecError("experiment needs at least one mode")
         if len(set(self.modes)) != len(self.modes):
             raise ExperimentSpecError("duplicate modes in experiment spec")
-        # fail early on bad GA parameters rather than mid-experiment
-        self.config_for(self.modes[0], self.base_seed)
+        # fail early on bad GA parameters rather than mid-experiment; the
+        # rate bounds bind in mode D only, so every mode is checked
+        for mode in self.modes:
+            self.config_for(mode, self.base_seed)
 
     def config_for(self, mode: FitnessMode, seed: int) -> GAConfig:
         shared = {f.attr: getattr(self, f.attr) for f in _FIELDS if f.attr in _GA_ATTRS}

@@ -5,11 +5,17 @@ component IDs (removal order), a removal direction per position, and a
 gripper per position.  Crossover recombines the permutation with a two-point
 order crossover; the direction and gripper genes travel with the component
 they were attached to in the parent.
+
+Every index draw is ``rng._randbelow(n)``, the method ``randrange(n)``
+itself ends in: the stream is exactly ``randrange``'s, so seeded results
+match it, without ``randrange``'s argument handling, which costs more than
+the draw.
 """
 
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 from typing import NamedTuple
 
 from .product import ProductModel, opposite_label
@@ -59,11 +65,11 @@ def random_chromosome(model: ProductModel, rng: random.Random) -> PlanChromosome
     seq = list(range(n))
     rng.shuffle(seq)
     nd = len(model.directions)
-    dirs = [rng.randrange(nd) for _ in range(n)]
+    dirs = [rng._randbelow(nd) for _ in range(n)]
     grips = []
     for part in seq:
         allowed = model.allowed_grippers[part]
-        grips.append(allowed[rng.randrange(len(allowed))])
+        grips.append(allowed[rng._randbelow(len(allowed))])
     return PlanChromosome(tuple(seq), tuple(dirs), tuple(grips))
 
 
@@ -112,10 +118,11 @@ def crossover(
     n = len(a.sequence)
     if n < 2:
         return a, b
-    i = rng.randrange(n + 1)
-    j = rng.randrange(n)
+    i = rng._randbelow(n + 1)
+    j = rng._randbelow(n)
     j += j >= i
-    i, j = min(i, j), max(i, j)
+    if i > j:
+        i, j = j, i
     return _ox_child(a, b, i, j), _ox_child(b, a, i, j)
 
 
@@ -123,17 +130,18 @@ def _ox_child(keep: PlanChromosome, donor: PlanChromosome, i: int, j: int) -> Pl
     n = len(keep.sequence)
     seg = set(keep.sequence[i:j])
     dseq = donor.sequence
-    # donor positions in fill order (after the second cut, wrapping), then
-    # rotated into child order: the last i fill the head, the rest the tail
-    fill = [p for p in range(j, n) if dseq[p] not in seg]
-    fill += [p for p in range(j) if dseq[p] not in seg]
-    order = fill[n - j:] + fill[:n - j]
-    sections = []
-    for kept, given in zip(keep, donor):
-        genes = [given[p] for p in order]
-        genes[i:i] = kept[i:j]
-        sections.append(tuple(genes))
-    return PlanChromosome(*sections)
+    # donor positions in fill order (after the second cut, wrapping), shifted
+    # by n to index the donor half of ``keep section + donor section``; the
+    # last i of them fill the head, the kept segment follows, the rest is the
+    # tail.  n >= 2 picks, so the getter always returns a tuple.
+    fill = [p + n for p in (*range(j, n), *range(j)) if dseq[p] not in seg]
+    r = n - j
+    pick = itemgetter(*fill[r:], *range(i, j), *fill[:r])
+    return PlanChromosome(
+        pick(keep.sequence + dseq),
+        pick(keep.directions + donor.directions),
+        pick(keep.grippers + donor.grippers),
+    )
 
 
 def mutate(chrom: PlanChromosome, model: ProductModel, rng: random.Random) -> PlanChromosome:
@@ -150,17 +158,17 @@ def mutate(chrom: PlanChromosome, model: ProductModel, rng: random.Random) -> Pl
     dirs = list(chrom.directions)
     grips = list(chrom.grippers)
     if n >= 2:
-        i = rng.randrange(n)
-        j = rng.randrange(n - 1)
+        i = rng._randbelow(n)
+        j = rng._randbelow(n - 1)
         j += j >= i
         seq[i], seq[j] = seq[j], seq[i]
         dirs[i], dirs[j] = dirs[j], dirs[i]
         grips[i], grips[j] = grips[j], grips[i]
-    p = rng.randrange(n)
-    dirs[p] = rng.randrange(len(model.directions))
-    q = rng.randrange(n)
+    p = rng._randbelow(n)
+    dirs[p] = rng._randbelow(len(model.directions))
+    q = rng._randbelow(n)
     allowed = model.allowed_grippers[seq[q]]
-    grips[q] = allowed[rng.randrange(len(allowed))]
+    grips[q] = allowed[rng._randbelow(len(allowed))]
     return PlanChromosome(tuple(seq), tuple(dirs), tuple(grips))
 
 

@@ -111,10 +111,12 @@ def fuzzy_fitness(m: PlanMetrics, system: FuzzySystem) -> float:
 class EvalContext:
     """Everything fitness evaluation needs besides the plan metrics.
 
-    ``all_feasible`` is the latched adaptive phase flag; the GA flips it once
-    and never clears it.  ``cache`` memoizes fuzzy inference per distinct
-    (feasible_len, orient_changes, grip_changes) triple, which keeps mode B
-    affordable on large products.
+    ``all_feasible`` is the adaptive phase flag; it is given at construction
+    or set once through ``latch``, and assigning it afterwards raises.
+    ``cache`` memoizes the fitness of each distinct ``PlanMetrics`` in every
+    mode, so each one is scored (and mode B's fuzzy inference run) once per
+    phase; ``latch`` empties it because the adaptive fitness changes scale
+    with the phase.
     """
 
     mode: FitnessMode = FitnessMode.ALGEBRAIC
@@ -127,14 +129,24 @@ class EvalContext:
         if self.mode is FitnessMode.FUZZY_RANKED:
             self.ranking_system = build_ranking_system()
 
+    def __setattr__(self, name: str, value) -> None:
+        if name == "all_feasible" and name in self.__dict__:
+            raise AttributeError("all_feasible changes only through latch()")
+        super().__setattr__(name, value)
+
+    def latch(self) -> None:
+        """Enter the adaptive second phase (all plans scored algebraically)."""
+        self.__dict__["all_feasible"] = True
+        self.cache.clear()
+
     def evaluate(self, m: PlanMetrics) -> float:
-        if self.mode is FitnessMode.FUZZY_RANKED:
-            key = (m.feasible_len, m.orient_changes, m.grip_changes)
-            value = self.cache.get(key)
-            if value is None:
+        value = self.cache.get(m)
+        if value is None:
+            if self.mode is FitnessMode.FUZZY_RANKED:
                 value = fuzzy_fitness(m, self.ranking_system)
-                self.cache[key] = value
-            return value
-        if self.mode.adaptive:
-            return adaptive_fitness(m, self.weights, self.all_feasible)
-        return algebraic_fitness(m, self.weights)
+            elif self.mode.adaptive:
+                value = adaptive_fitness(m, self.weights, self.all_feasible)
+            else:
+                value = algebraic_fitness(m, self.weights)
+            self.cache[m] = value
+        return value

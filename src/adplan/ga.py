@@ -16,9 +16,11 @@ from __future__ import annotations
 import math
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
+
+import numpy as np
 
 from .encoding import (
     PlanChromosome,
@@ -45,7 +47,7 @@ class GAConfig:
     mode: FitnessMode = FitnessMode.ALGEBRAIC
     weights: Weights = Weights()
     seed: int = 0
-    # controller clamp bounds, also validated for non-controller modes
+    # controller clamp bounds (mode D); must bracket the rates only there
     mutation_bounds: tuple[float, float] = (0.2, 0.95)
     crossover_bounds: tuple[float, float] = (0.1, 0.8)
     success_target: float | None = None
@@ -58,13 +60,16 @@ class GAConfig:
         for label, value in (("mutation_prob", self.mutation_prob), ("crossover_rate", self.crossover_rate)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{label} must be in [0, 1], got {value}")
+        controlled = self.mode is FitnessMode.ADAPTIVE_CONTROLLED
         for label, (lo, hi), value in (
             ("mutation_bounds", self.mutation_bounds, self.mutation_prob),
             ("crossover_bounds", self.crossover_bounds, self.crossover_rate),
         ):
-            if not 0.0 < lo <= value <= hi <= 1.0:
+            if not 0.0 < lo <= hi <= 1.0:
+                raise ValueError(f"{label} must satisfy 0 < low <= high <= 1, got ({lo}, {hi})")
+            if controlled and not lo <= value <= hi:
                 raise ValueError(
-                    f"{label} must satisfy 0 < low <= configured rate <= high <= 1, "
+                    f"{label} must bracket the configured rate in mode D, "
                     f"got ({lo}, {hi}) around {value}"
                 )
 
@@ -120,8 +125,8 @@ def select(
     Two indices are drawn uniformly; the higher fitness wins and the first
     draw wins ties (including drawing the same index twice).
     """
-    a = scored[rng.randrange(len(scored))]
-    b = scored[rng.randrange(len(scored))]
+    a = scored[rng._randbelow(len(scored))]
+    b = scored[rng._randbelow(len(scored))]
     return a[0] if a[1] >= b[1] else b[0]
 
 
@@ -131,15 +136,22 @@ def population_diversity(population: Sequence[PlanChromosome]) -> float:
     Exact over all pairs in O(P·n) for P sequences of length n: if c[k][v]
     sequences hold component v at position k, then Σ_v c[k][v]² counts the
     ordered pairs (self-pairs included) that agree at k, so the mean is
-    (P²·n − Σ_k Σ_v c[k][v]²) / (P·(P−1)·n).  Draws no randomness.
-    Ranges over [0, 1]; 0 means every sequence section is identical.
+    (P²·n − Σ_k Σ_v c[k][v]²) / (P·(P−1)·n).  Each sequence is a
+    permutation of 0..n−1, so the codes k·n + v are distinct per (k, v) and
+    one bincount gives every c[k][v]; the sum stays an exact integer.  Draws no
+    randomness.  Ranges over [0, 1]; 0 means every sequence section is
+    identical.
     """
     p = len(population)
     n = len(population[0].sequence) if population else 0
     if p < 2 or n == 0:
         return 0.0
-    columns = zip(*(chrom.sequence for chrom in population))
-    agree = sum(c * c for column in columns for c in Counter(column).values())
+    codes = np.fromiter(
+        chain.from_iterable(chrom.sequence for chrom in population), np.intp, p * n
+    ).reshape(p, n)
+    codes += np.arange(0, n * n, n)
+    counts = np.bincount(codes.ravel())
+    agree = int(counts @ counts)
     return (p * p * n - agree) / (p * (p - 1) * n)
 
 
@@ -200,19 +212,21 @@ def evolve(model: ProductModel, config: GAConfig) -> RunResult:
     best_key: tuple[float, int, int] | None = None
     best_chrom: PlanChromosome | None = None
     best_m: PlanMetrics | None = None
+    evaluate = ctx.evaluate
 
     for gen in range(config.max_generations):
         mlist = [metrics(model, c) if m is None else m for c, m in zip(pop, known)]
         feasible = sum(1 for m in mlist if m.feasible_len == m.n_parts)
         if ctx.mode.adaptive and not ctx.all_feasible and feasible == len(pop):
-            ctx.all_feasible = True
+            ctx.latch()
             best_key = None  # fitness scale changed with the phase
-        values = [ctx.evaluate(m) for m in mlist]
+        values = [evaluate(m) for m in mlist]
         scored = list(zip(pop, values, mlist))
-        keys = [rank_key(v, m) for v, m in zip(values, mlist)]
-        best_i = min(range(len(pop)), key=keys.__getitem__)  # first of equals
-        if best_key is None or keys[best_i] < best_key:
-            best_key = keys[best_i]
+        keys = list(map(rank_key, values, mlist))
+        gen_key = min(keys)
+        best_i = keys.index(gen_key)  # first of equals
+        if best_key is None or gen_key < best_key:
+            best_key = gen_key
             best_chrom = pop[best_i]
             best_m = mlist[best_i]
         history.append(

@@ -58,21 +58,25 @@ def rng() -> random.Random:
 
 
 class StubRandom(random.Random):
-    """random.Random whose randrange answers come from a script.
+    """random.Random whose getrandbits answers come from a script.
 
+    The GA draws every index with ``_randbelow(n)``, which in a subclass
+    that overrides ``getrandbits`` asks it for ``n.bit_length()`` bits and
+    keeps a value below n, so a scripted value below n is the index drawn.
     Scripted entries are popped in call order; when the script runs dry the
-    real generator takes over, so tests can force just the first few choices
-    (crossover cut points, tournament draws) and leave the rest honest.
+    real generator takes over, so tests can force just the first few
+    choices (crossover cut points, tournament draws) and leave the rest
+    honest.
     """
 
-    def __init__(self, seed=0, *, randranges=()):
+    def __init__(self, seed=0, *, bits=()):
         super().__init__(seed)
-        self._randranges = list(randranges)
+        self._bits = list(bits)
 
-    def randrange(self, start, stop=None, step=1):
-        if self._randranges:
-            return self._randranges.pop(0)
-        return super().randrange(start, stop, step)
+    def getrandbits(self, k):
+        if self._bits:
+            return self._bits.pop(0)
+        return super().getrandbits(k)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

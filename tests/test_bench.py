@@ -97,6 +97,13 @@ def test_spec_rejects_ga_parameters_outside_bounds():
         )
 
 
+def test_spec_checks_rate_bounds_only_for_mode_d():
+    spec = {"product": "cage5.json", "mutation": 0.1, "crossover": 0.9}
+    assert spec_from_dict({**spec, "modes": ["A", "B", "C"]}, FIXTURE_DIR).mutation_prob == 0.1
+    with pytest.raises(ValueError, match="mutation"):
+        spec_from_dict({**spec, "modes": ["A", "D"]}, FIXTURE_DIR)
+
+
 def test_spec_from_json_bad_json(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json", encoding="utf-8")

@@ -182,6 +182,20 @@ def test_plan_bad_ga_config_exits_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("rate", [("--mut", "0.1"), ("--cross", "0.9")])
+def test_plan_rates_outside_controller_bounds(capsys, rate):
+    # the clamp bounds bind only mode D's controller
+    for letter in "ABC":
+        code, out, err = run_cli(capsys, "plan", fixture_path("stack6"), *PLAN_ARGS,
+                                 "--mode", letter, *rate)
+        assert (code, err) == (0, "")
+        assert f"stack6: mode {letter} seed 3:" in out
+    code, _, err = run_cli(capsys, "plan", fixture_path("stack6"), *PLAN_ARGS,
+                           "--mode", "D", *rate)
+    assert code == 2
+    assert "bracket the configured rate in mode D" in err
+
+
 # -- oracle -------------------------------------------------------------------
 
 

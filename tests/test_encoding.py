@@ -157,7 +157,7 @@ def test_crossover_hand_trace_cuts_1_3():
     )
     a = PlanChromosome((0, 1, 2, 3), (0, 0, 0, 0), (0, 0, 0, 0))
     b = PlanChromosome((3, 2, 1, 0), (1, 1, 1, 1), (1, 1, 1, 1))
-    stub = StubRandom(randranges=[1, 2])  # i = 1; j = 2 >= i steps to 3
+    stub = StubRandom(bits=[1, 2])  # i = 1; j = 2 >= i steps to 3
     c1, c2 = crossover(a, b, stub)
     # child 1 keeps a[1:3], fills from b starting after the cut: b yields 0, 3
     assert c1.sequence == (3, 1, 2, 0)
@@ -258,6 +258,54 @@ def test_crossover_cuts_and_mutation_swaps_are_uniform():
         share = draws / len(counts)
         for pair, count in counts.items():
             assert abs(count - share) <= 0.15 * share, (pair, count)
+
+
+def reference_ox(keep, donor, i, j):
+    """Order crossover child written out position by position."""
+    n = len(keep.sequence)
+    seg = keep.sequence[i:j]
+    fill = [p for p in [*range(j, n), *range(j)] if donor.sequence[p] not in seg]
+    slots = [*range(j, n), *range(i)]  # child positions filled after the cut
+    sections = [list(s) for s in keep]
+    for slot, p in zip(slots, fill):
+        for section, given in zip(sections, donor):
+            section[slot] = given[p]
+    return PlanChromosome(*map(tuple, sections))
+
+
+def test_crossover_matches_reference_and_randrange_cuts():
+    # the cuts are drawn as randrange(n + 1), randrange(n) would draw them
+    rng = random.Random(11)
+    for trial in range(400):
+        n = 2 + trial % 12
+        model = random_model(rng, n=n, ndirs=3, ngrips=3)
+        a = random_chromosome(model, rng)
+        b = random_chromosome(model, rng)
+        ref = random.Random(trial)
+        i = ref.randrange(n + 1)
+        j = ref.randrange(n)
+        j += j >= i
+        i, j = min(i, j), max(i, j)
+        ours = random.Random(trial)
+        c1, c2 = crossover(a, b, ours)
+        assert c1 == reference_ox(a, b, i, j)
+        assert c2 == reference_ox(b, a, i, j)
+        assert ours.getstate() == ref.getstate()
+
+
+# -- the draw rule ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024, 0xC0FFEE])
+def test_randbelow_draws_the_randrange_stream(seed):
+    # The GA calls the private Random._randbelow; this names that dependency,
+    # so a CPython change fails here rather than only as golden-digest
+    # mismatches.  n == 1 must consume bits as randrange(1) does.
+    ours, ref = random.Random(seed), random.Random(seed)
+    for n in range(1, 301):
+        for _ in range(3):
+            assert ours._randbelow(n) == ref.randrange(n), n
+        assert ours.getstate() == ref.getstate(), n
 
 
 # -- validate_chromosome ----------------------------------------------------

@@ -302,10 +302,35 @@ def test_eval_context_caches_fuzzy_triples():
     ctx = EvalContext(FitnessMode.FUZZY_RANKED)
     assert ctx.cache == {}
     v1 = ctx.evaluate(pm(3, 1, 0, 3))
-    assert list(ctx.cache) == [(3, 1, 0)]
-    ctx.cache[(3, 1, 0)] = 123.0  # prove the cache is consulted
+    assert list(ctx.cache) == [pm(3, 1, 0, 3)]
+    ctx.cache[pm(3, 1, 0, 3)] = 123.0  # prove the cache is consulted
     assert ctx.evaluate(pm(3, 1, 0, 3)) == 123.0
     assert v1 != 123.0
+
+
+@pytest.mark.parametrize("mode", list(FitnessMode))
+def test_eval_context_caches_every_mode_per_phase(mode):
+    ctx = EvalContext(mode)
+    m = pm(2, 1, 1, 3)
+    first = ctx.evaluate(m)
+    assert list(ctx.cache) == [m]
+    ctx.cache[m] = 123.0  # prove the cache is consulted
+    assert ctx.evaluate(m) == 123.0
+    ctx.latch()
+    assert ctx.all_feasible and ctx.cache == {}
+    # a new phase scores afresh: algebraically in the adaptive modes
+    expect = algebraic_fitness(m, ctx.weights) if mode.adaptive else first
+    assert ctx.evaluate(m) == expect
+
+
+def test_eval_context_phase_changes_only_through_latch():
+    # assigning the flag would keep phase-1 values in the memo
+    ctx = EvalContext(FitnessMode.ADAPTIVE)
+    ctx.evaluate(pm(2, 1, 1, 3))
+    with pytest.raises(AttributeError, match="latch"):
+        ctx.all_feasible = True
+    assert not ctx.all_feasible and len(ctx.cache) == 1
+    assert EvalContext(FitnessMode.ADAPTIVE, all_feasible=True).all_feasible
 
 
 def test_eval_context_modes_dispatch():

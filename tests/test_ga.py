@@ -71,18 +71,33 @@ def test_config_rejects_rates_outside_unit_interval():
 
 
 def test_config_bounds_must_bracket_rate():
-    # 0 < lo <= configured <= hi <= 1, for both controlled rates
-    GAConfig(mutation_prob=0.5, mutation_bounds=(0.5, 0.5))
+    # mode D: 0 < lo <= configured <= hi <= 1, for both controlled rates
+    d = FitnessMode.ADAPTIVE_CONTROLLED
+    GAConfig(mode=d, mutation_prob=0.5, mutation_bounds=(0.5, 0.5))
     with pytest.raises(ValueError, match="mutation"):
-        GAConfig(mutation_prob=0.1, mutation_bounds=(0.2, 0.95))
+        GAConfig(mode=d, mutation_prob=0.1, mutation_bounds=(0.2, 0.95))
     with pytest.raises(ValueError, match="mutation"):
-        GAConfig(mutation_prob=0.8, mutation_bounds=(0.0, 0.95))
+        GAConfig(mode=d, mutation_prob=0.8, mutation_bounds=(0.0, 0.95))
     with pytest.raises(ValueError, match="mutation"):
-        GAConfig(mutation_prob=0.8, mutation_bounds=(0.2, 1.05))
+        GAConfig(mode=d, mutation_prob=0.8, mutation_bounds=(0.2, 1.05))
     with pytest.raises(ValueError, match="crossover"):
-        GAConfig(crossover_rate=0.9, crossover_bounds=(0.1, 0.8))
+        GAConfig(mode=d, crossover_rate=0.9, crossover_bounds=(0.1, 0.8))
     with pytest.raises(ValueError, match="crossover"):
-        GAConfig(crossover_rate=0.4, crossover_bounds=(0.5, 0.8))
+        GAConfig(mode=d, crossover_rate=0.4, crossover_bounds=(0.5, 0.8))
+
+
+@pytest.mark.parametrize("letter", "ABC")
+def test_config_uncontrolled_modes_take_rates_outside_bounds(letter):
+    # the clamp bounds only matter to mode D's controller, but stay well formed
+    mode = FitnessMode.from_letter(letter)
+    GAConfig(mode=mode, mutation_prob=0.1, crossover_rate=0.9)
+    GAConfig(mode=mode, mutation_prob=0.0, crossover_rate=1.0)
+    with pytest.raises(ValueError, match="mutation"):
+        GAConfig(mode=mode, mutation_bounds=(0.0, 0.95))
+    with pytest.raises(ValueError, match="mutation"):
+        GAConfig(mode=mode, mutation_bounds=(0.5, 0.4))
+    with pytest.raises(ValueError, match="crossover"):
+        GAConfig(mode=mode, crossover_bounds=(0.1, 1.05))
 
 
 # -- selection ----------------------------------------------------------------
@@ -95,7 +110,7 @@ def test_select_tournament_probabilities():
     scored = [(weak, 1.0), (fit, 2.0)]
     outcomes = []
     for pair in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        stub = StubRandom(randranges=list(pair))
+        stub = StubRandom(bits=list(pair))
         outcomes.append(select(scored, stub))
     assert outcomes == [weak, fit, fit, fit]
 
@@ -103,8 +118,8 @@ def test_select_tournament_probabilities():
 def test_select_tie_keeps_first_draw():
     a, b = object(), object()
     scored = [(a, 2.0), (b, 2.0)]
-    assert select(scored, StubRandom(randranges=[0, 1])) is a
-    assert select(scored, StubRandom(randranges=[1, 0])) is b
+    assert select(scored, StubRandom(bits=[0, 1])) is a
+    assert select(scored, StubRandom(bits=[1, 0])) is b
 
 
 def test_select_returns_member(rng):
