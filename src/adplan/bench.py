@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -226,6 +225,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
     results: list[RunResult] = []
     try:
         if workers > 1:
+            # imported here: the pool's modules add to every ``import adplan``
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for res in pool.map(_worker, jobs):
                     results.append(res)

@@ -6,17 +6,20 @@ gripper per position.  Crossover recombines the permutation with a two-point
 order crossover; the direction and gripper genes travel with the component
 they were attached to in the parent.
 
-Every index draw is ``rng._randbelow(n)``, the method ``randrange(n)``
-itself ends in: the stream is exactly ``randrange``'s, so seeded results
-match it, without ``randrange``'s argument handling, which costs more than
-the draw.
+The GA holds its population as one ``(3, P, n)`` integer array, one plane
+per section, and ``crossover`` and ``mutate`` work on a whole generation
+at a time.  Every index draw follows ``randbelow``, the rule
+``randrange(n)`` itself ends in, so the stream is exactly ``randrange``'s
+and seeded results match it.
 """
 
 from __future__ import annotations
 
 import random
-from operator import itemgetter
-from typing import NamedTuple
+from functools import lru_cache
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .product import ProductModel, opposite_label
 
@@ -59,17 +62,31 @@ def validate_chromosome(model: ProductModel, chrom: PlanChromosome) -> None:
             )
 
 
+def randbelow(rng: random.Random, n: int) -> int:
+    """A uniform draw from range(n), n >= 1: ``randrange(n)``'s stream.
+
+    This is the rule ``randrange(n)`` itself ends in: take
+    ``n.bit_length()`` bits and retry until the value is below n, so n == 1
+    still consumes bits.  ``select`` and ``mutate`` repeat it inline.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def random_chromosome(model: ProductModel, rng: random.Random) -> PlanChromosome:
     """Sample a uniformly random valid chromosome."""
     n = model.n
     seq = list(range(n))
     rng.shuffle(seq)
     nd = len(model.directions)
-    dirs = [rng._randbelow(nd) for _ in range(n)]
+    dirs = [randbelow(rng, nd) for _ in range(n)]
     grips = []
     for part in seq:
         allowed = model.allowed_grippers[part]
-        grips.append(allowed[rng._randbelow(len(allowed))])
+        grips.append(allowed[randbelow(rng, len(allowed))])
     return PlanChromosome(tuple(seq), tuple(dirs), tuple(grips))
 
 
@@ -79,10 +96,10 @@ def metrics(model: ProductModel, chrom: PlanChromosome) -> PlanMetrics:
     Walks the sequence keeping a removed-set bitmask.  The walk stops at the
     first position whose component is still blocked along its assigned
     direction; orientation and gripper changes past that point do not count.
+    ``chrom`` may be any (sequence, directions, grippers) triple of
+    sequences, such as one population row read from ``tolist()``.
     """
-    seq = chrom.sequence
-    dirs = chrom.directions
-    grips = chrom.grippers
+    seq, dirs, grips = chrom
     masks = model.blocker_masks
     removed = 0
     o = 0
@@ -103,73 +120,117 @@ def metrics(model: ProductModel, chrom: PlanChromosome) -> PlanMetrics:
     return PlanMetrics(prefix, o, g, n)
 
 
+@lru_cache
+def _cut_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per part count n: positions, ``rot[j][p]`` = (p − j) mod n, the place
+    of position p in fill order after a cut at j, and ``seg[i][j][p]`` =
+    i <= p < j."""
+    pos = np.arange(n)
+    cut = np.arange(n + 1)
+    tables = pos, (pos - cut[:, None]) % n, (cut[:, None, None] <= pos) & (pos < cut[:, None])
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller
+    return tables
+
+
 def crossover(
-    a: PlanChromosome, b: PlanChromosome, rng: random.Random
-) -> tuple[PlanChromosome, PlanChromosome]:
-    """Two-point order crossover producing two children.
+    pop: np.ndarray,
+    keep: Sequence[int],
+    donor: Sequence[int],
+    cuts: tuple[Sequence[int], Sequence[int]],
+) -> np.ndarray:
+    """Two-point order crossover of many children at once; draws nothing.
 
-    One pair of distinct cut points 0 <= i < j <= n is drawn, uniformly over
-    unordered pairs, and shared by both children.  Each child copies the
-    segment between the cuts from one parent, then fills the remaining
-    positions (starting after the second cut, wrapping) with the other
-    parent's components in that parent's order; direction and gripper genes
-    move with their component.
+    ``pop`` is a ``(3, P, n)`` population array (sequence, direction and
+    gripper planes).  Child k copies positions ``lo[k]:hi[k]`` of row
+    ``keep[k]``, then fills the remaining positions (starting after the
+    second cut, wrapping) with the other components in the order row
+    ``donor[k]`` holds them, also read from after the second cut; direction
+    and gripper genes move with their component.  Returns the children as a
+    ``(3, len(keep), n)`` array.
     """
-    n = len(a.sequence)
-    if n < 2:
-        return a, b
-    i = rng._randbelow(n + 1)
-    j = rng._randbelow(n)
-    j += j >= i
-    if i > j:
-        i, j = j, i
-    return _ox_child(a, b, i, j), _ox_child(b, a, i, j)
+    n = pop.shape[2]
+    pos, rot_table, seg_table = _cut_tables(n)
+    lo, hi = (np.asarray(c, np.intp) for c in cuts)
+    planes = pop.reshape(3, -1)
+    seqs = planes[0]
+    # flat offsets: of each child's row in an (m, n) block, and of the
+    # parents' genes in ``planes``
+    base = np.arange(0, len(lo) * n, n)[:, None]
+    kept = np.asarray(keep, np.intp)[:, None] * n + pos
+    given = np.asarray(donor, np.intp)[:, None] * n
+    seg = seg_table[lo, hi]
+    rot = rot_table[hi]
+    taken = np.zeros(seg.size, bool)  # by component: inside the kept segment
+    taken.put(base + seqs.take(kept), seg)
+    # the donor's positions in fill order, its segment components last;
+    # child position p takes the rot[p]-th of them, or keeps its own gene
+    # inside the segment
+    order = np.argsort(rot + n * taken.take(base + seqs.take(given + pos)), axis=1)
+    return planes.take(np.where(seg, kept, given + order.take(base + rot)), axis=1)
 
 
-def _ox_child(keep: PlanChromosome, donor: PlanChromosome, i: int, j: int) -> PlanChromosome:
-    n = len(keep.sequence)
-    seg = set(keep.sequence[i:j])
-    dseq = donor.sequence
-    # donor positions in fill order (after the second cut, wrapping), shifted
-    # by n to index the donor half of ``keep section + donor section``; the
-    # last i of them fill the head, the kept segment follows, the rest is the
-    # tail.  n >= 2 picks, so the getter always returns a tuple.
-    fill = [p + n for p in (*range(j, n), *range(j)) if dseq[p] not in seg]
-    r = n - j
-    pick = itemgetter(*fill[r:], *range(i, j), *fill[:r])
-    return PlanChromosome(
-        pick(keep.sequence + dseq),
-        pick(keep.directions + donor.directions),
-        pick(keep.grippers + donor.grippers),
-    )
+def mutate(children: np.ndarray, model: ProductModel, mut_p: float, rng: random.Random) -> list[int]:
+    """Mutate rows of a C-contiguous ``(3, m, n)`` population array in place.
 
-
-def mutate(chrom: PlanChromosome, model: ProductModel, rng: random.Random) -> PlanChromosome:
-    """One swap of two positions, one direction reset, one gripper reset.
-
-    The swap exchanges whole position triples so genes stay attached to
-    their component.  The gripper reset redraws from the allowed set of the
-    component sitting at the chosen position after the swap.
+    Row by row, a ``random()`` below ``mut_p`` mutates the row: one swap of
+    two positions, one direction reset, one gripper reset.  The swap
+    exchanges whole position triples so genes stay attached to their
+    component; with one part there is nothing to swap and it draws nothing.
+    The gripper reset redraws from the allowed set of the component sitting
+    at the chosen position after the swap.  Returns the rows mutated.
     """
-    n = len(chrom.sequence)
-    if n == 0:
-        return chrom
-    seq = list(chrom.sequence)
-    dirs = list(chrom.directions)
-    grips = list(chrom.grippers)
-    if n >= 2:
-        i = rng._randbelow(n)
-        j = rng._randbelow(n - 1)
-        j += j >= i
-        seq[i], seq[j] = seq[j], seq[i]
-        dirs[i], dirs[j] = dirs[j], dirs[i]
-        grips[i], grips[j] = grips[j], grips[i]
-    p = rng._randbelow(n)
-    dirs[p] = rng._randbelow(len(model.directions))
-    q = rng._randbelow(n)
-    allowed = model.allowed_grippers[seq[q]]
-    grips[q] = allowed[rng._randbelow(len(allowed))]
-    return PlanChromosome(tuple(seq), tuple(dirs), tuple(grips))
+    if not children.flags.c_contiguous:
+        raise ValueError("mutate changes its array in place; it must be C-contiguous")
+    _, m, n = children.shape
+    nd = len(model.directions)
+    allowed = model.allowed_grippers
+    kn, kn1, kd = n.bit_length(), (n - 1).bit_length(), nd.bit_length()
+    random_, getrandbits = rng.random, rng.getrandbits
+    planes = children.reshape(3, -1)
+    part_at = planes[0].item
+    # the at_* lists hold flat positions within a plane
+    rows, at_i, at_j, at_p, new_d, at_q, new_g = [], [], [], [], [], [], []
+    for row in range(m):
+        if random_() >= mut_p:
+            continue
+        i = j = 0
+        if n >= 2:
+            i = getrandbits(kn)
+            while i >= n:
+                i = getrandbits(kn)
+            j = getrandbits(kn1)
+            while j >= n - 1:
+                j = getrandbits(kn1)
+            j += j >= i
+        p = getrandbits(kn)
+        while p >= n:
+            p = getrandbits(kn)
+        d = getrandbits(kd)
+        while d >= nd:
+            d = getrandbits(kd)
+        q = getrandbits(kn)
+        while q >= n:
+            q = getrandbits(kn)
+        base = row * n
+        grips = allowed[part_at(base + (j if q == i else i if q == j else q))]
+        na = len(grips)
+        ka = na.bit_length()
+        g = getrandbits(ka)
+        while g >= na:
+            g = getrandbits(ka)
+        rows.append(row)
+        at_i.append(base + i)
+        at_j.append(base + j)
+        at_p.append(base + p)
+        new_d.append(d)
+        at_q.append(base + q)
+        new_g.append(grips[g])
+    if rows:
+        planes[:, at_j + at_i] = planes.take(at_i + at_j, axis=1)
+        planes[1].put(at_p, new_d)
+        planes[2].put(at_q, new_g)
+    return rows
 
 
 def plan_record(model: ProductModel, chrom: PlanChromosome, m: PlanMetrics | None = None) -> dict:

@@ -4,6 +4,9 @@ Selection is binary tournament with replacement, elitism carries the single
 best individual unchanged, and the crossover rate is the fraction of the next
 generation produced by order crossover (the rest are selected clones).  Each
 non-elite individual is mutated with the current mutation probability.
+The population is one ``(3, P, n)`` array, and each generation is bred with
+three batched calls (``select``, ``crossover``, ``mutate``) that draw the
+same numbers, in the same order, as breeding one child at a time.
 
 Mode D layers a fuzzy run-time controller on top: after every generation the
 controller reads stagnation (generations since the max fitness last improved,
@@ -17,7 +20,6 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -118,39 +120,74 @@ class RunResult:
 
 
 def select(
-    scored: Sequence[tuple], rng: random.Random
-) -> PlanChromosome:
-    """Binary tournament with replacement over (chromosome, fitness, ...) rows.
+    values: Sequence[float], n_cross: int, n: int, rng: random.Random
+) -> tuple[list[int], list[int], tuple[list[int], list[int]]]:
+    """Every parent and crossover cut of one generation of P - 1 children,
+    for 0 <= n_cross <= P - 1 crossover children and n parts.
 
-    Two indices are drawn uniformly; the higher fitness wins and the first
-    draw wins ties (including drawing the same index twice).
+    Each parent is a binary tournament with replacement over the P rows:
+    two rows are drawn uniformly, the higher value wins and the first draw
+    wins ties (including drawing the same row twice).  The first n_cross
+    children come from parent pairs, each pair followed by its cut pair
+    0 <= i < j <= n, drawn uniformly over unordered pairs (with fewer than
+    2 parts nothing is drawn and the cut spans the row).  Both children of a
+    pair share its cut, the second with the parents' roles swapped, and an
+    odd n_cross drops the last pair's second child.  Every other child is a
+    clone of one tournament winner.
+
+    Returns ``(rows, donors, (lo, hi))``: the row each child starts from,
+    then the donor row and the cuts of each crossover child.
     """
-    a = scored[rng._randbelow(len(scored))]
-    b = scored[rng._randbelow(len(scored))]
-    return a[0] if a[1] >= b[1] else b[0]
+    p = len(values)
+    kp, kc, kn = p.bit_length(), (n + 1).bit_length(), n.bit_length()
+    getrandbits = rng.getrandbits
+    paired = 2 * ((n_cross + 1) // 2)
+    winners: list[int] = []
+    lo: list[int] = []
+    hi: list[int] = []
+    for t in range(p - 1 - n_cross + paired):
+        a = getrandbits(kp)
+        while a >= p:
+            a = getrandbits(kp)
+        b = getrandbits(kp)
+        while b >= p:
+            b = getrandbits(kp)
+        winners.append(a if values[a] >= values[b] else b)
+        if t & 1 and t < paired:
+            i, j = 0, n
+            if n >= 2:
+                i = getrandbits(kc)
+                while i > n:
+                    i = getrandbits(kc)
+                j = getrandbits(kn)
+                while j >= n:
+                    j = getrandbits(kn)
+                j += j >= i
+                if i > j:
+                    i, j = j, i
+            lo += (i, i)
+            hi += (j, j)
+    rows = winners[:n_cross] + winners[paired:]
+    donors = [winners[k ^ 1] for k in range(n_cross)]
+    return rows, donors, (lo[:n_cross], hi[:n_cross])
 
 
-def population_diversity(population: Sequence[PlanChromosome]) -> float:
+def population_diversity(pop: np.ndarray) -> float:
     """Mean pairwise positionwise disagreement of the sequence sections.
 
-    Exact over all pairs in O(P·n) for P sequences of length n: if c[k][v]
-    sequences hold component v at position k, then Σ_v c[k][v]² counts the
-    ordered pairs (self-pairs included) that agree at k, so the mean is
-    (P²·n − Σ_k Σ_v c[k][v]²) / (P·(P−1)·n).  Each sequence is a
-    permutation of 0..n−1, so the codes k·n + v are distinct per (k, v) and
-    one bincount gives every c[k][v]; the sum stays an exact integer.  Draws no
-    randomness.  Ranges over [0, 1]; 0 means every sequence section is
-    identical.
+    ``pop`` is a ``(3, P, n)`` population array.  Exact over all pairs in
+    O(P·n): if c[k][v] sequences hold component v at position k, then
+    Σ_v c[k][v]² counts the ordered pairs (self-pairs included) that agree
+    at k, so the mean is (P²·n − Σ_k Σ_v c[k][v]²) / (P·(P−1)·n).  Each
+    sequence is a permutation of 0..n−1, so the codes k·n + v are distinct
+    per (k, v) and one bincount gives every c[k][v]; the sum stays an exact
+    integer.  Draws no randomness.  Ranges over [0, 1]; 0 means every
+    sequence section is identical.
     """
-    p = len(population)
-    n = len(population[0].sequence) if population else 0
+    _, p, n = pop.shape
     if p < 2 or n == 0:
         return 0.0
-    codes = np.fromiter(
-        chain.from_iterable(chrom.sequence for chrom in population), np.intp, p * n
-    ).reshape(p, n)
-    codes += np.arange(0, n * n, n)
-    counts = np.bincount(codes.ravel())
+    counts = np.bincount((pop[0] + np.arange(0, n * n, n)).ravel())
     agree = int(counts @ counts)
     return (p * p * n - agree) / (p * (p - 1) * n)
 
@@ -194,7 +231,9 @@ def evolve(model: ProductModel, config: GAConfig) -> RunResult:
     """Run the GA to completion and return the best plan found.
 
     Deterministic for a given (model, config): all randomness flows from one
-    random.Random seeded with config.seed.
+    random.Random seeded with config.seed.  The population is one
+    ``(3, P, n)`` array (sequence, direction and gripper planes); row 0 of
+    every bred generation is the elite.
     """
     if model.n == 0:
         raise ValueError("cannot plan for a product with no components")
@@ -204,8 +243,11 @@ def evolve(model: ProductModel, config: GAConfig) -> RunResult:
     controlled = config.mode is FitnessMode.ADAPTIVE_CONTROLLED
     controller = build_controller_system() if controlled else None
 
-    pop = [random_chromosome(model, rng) for _ in range(config.population_size)]
-    known: list[PlanMetrics | None] = [None] * len(pop)
+    size = config.population_size
+    pop = np.array(
+        [random_chromosome(model, rng) for _ in range(size)], np.intp
+    ).transpose(1, 0, 2).copy()
+    mlist: list[PlanMetrics | None] = [None] * size
     mut_p = config.mutation_prob
     cross_r = config.crossover_rate
     history: list[GenerationStats] = []
@@ -215,19 +257,20 @@ def evolve(model: ProductModel, config: GAConfig) -> RunResult:
     evaluate = ctx.evaluate
 
     for gen in range(config.max_generations):
-        mlist = [metrics(model, c) if m is None else m for c, m in zip(pop, known)]
+        new = [r for r, m in enumerate(mlist) if m is None]
+        for r, chrom in zip(new, zip(*pop.take(new, axis=1).tolist())):
+            mlist[r] = metrics(model, chrom)
         feasible = sum(1 for m in mlist if m.feasible_len == m.n_parts)
-        if ctx.mode.adaptive and not ctx.all_feasible and feasible == len(pop):
+        if ctx.mode.adaptive and not ctx.all_feasible and feasible == size:
             ctx.latch()
             best_key = None  # fitness scale changed with the phase
         values = [evaluate(m) for m in mlist]
-        scored = list(zip(pop, values, mlist))
         keys = list(map(rank_key, values, mlist))
         gen_key = min(keys)
         best_i = keys.index(gen_key)  # first of equals
         if best_key is None or gen_key < best_key:
             best_key = gen_key
-            best_chrom = pop[best_i]
+            best_chrom = PlanChromosome._make(map(tuple, pop[:, best_i].tolist()))
             best_m = mlist[best_i]
         history.append(
             GenerationStats(
@@ -238,7 +281,7 @@ def evolve(model: ProductModel, config: GAConfig) -> RunResult:
                 mutation_prob=mut_p,
                 crossover_rate=cross_r,
                 diversity=population_diversity(pop),
-                feasible_fraction=feasible / len(pop),
+                feasible_fraction=feasible / size,
                 all_feasible=ctx.all_feasible,
             )
         )
@@ -246,7 +289,7 @@ def evolve(model: ProductModel, config: GAConfig) -> RunResult:
             break
         if controlled:
             mut_p, cross_r = controller_update(history, controller, config)
-        pop, known = _breed(scored, best_i, mut_p, cross_r, model, rng)
+        pop, mlist = _breed(pop, values, mlist, best_i, mut_p, cross_r, model, rng)
 
     best_alg = algebraic_fitness(best_m, config.weights)
     success = (
@@ -267,35 +310,27 @@ def evolve(model: ProductModel, config: GAConfig) -> RunResult:
 
 
 def _breed(
-    scored: list[tuple],
+    pop: np.ndarray,
+    values: list[float],
+    mlist: list[PlanMetrics],
     elite_i: int,
     mut_p: float,
     cross_r: float,
     model: ProductModel,
     rng: random.Random,
-) -> tuple[list[PlanChromosome], list[PlanMetrics | None]]:
-    """The next generation, with the metrics of each member known to be
-    unchanged (the elite and unmutated clones), None for new chromosomes.
+) -> tuple[np.ndarray, list[PlanMetrics | None]]:
+    """The next generation: the elite, the crossover children, then the
+    clones, all but the elite mutated.  Also returns each row's metrics
+    where they are known to be unchanged (the elite and unmutated clones),
+    None for new chromosomes.
     """
-    p = len(scored)
-    n_offspring = p - 1
-    n_cross = min(n_offspring, round(cross_r * p))
-    children: list[PlanChromosome] = []
-    while len(children) < n_cross:
-        c1, c2 = crossover(select(scored, rng), select(scored, rng), rng)
-        children.append(c1)
-        if len(children) < n_cross:
-            children.append(c2)
-    while len(children) < n_offspring:
-        children.append(select(scored, rng))
-    # every scored row is alive here, so object ids cannot be reused
-    parent_metrics = {id(row[0]): row[2] for row in scored}
-    elite, _, elite_m = scored[elite_i]
-    out = [elite]
-    known = [elite_m]
-    for c in children:
-        if rng.random() < mut_p:
-            c = mutate(c, model, rng)
-        out.append(c)
-        known.append(parent_metrics.get(id(c)))
-    return out, known
+    p = len(values)
+    n_cross = min(p - 1, round(cross_r * p))
+    rows, donors, cuts = select(values, n_cross, pop.shape[2], rng)
+    children = np.concatenate(
+        (crossover(pop, rows[:n_cross], donors, cuts), pop.take(rows[n_cross:], axis=1)), axis=1
+    )
+    known = [mlist[elite_i]] + [None] * n_cross + [mlist[r] for r in rows[n_cross:]]
+    for r in mutate(children, model, mut_p, rng):
+        known[r + 1] = None
+    return np.concatenate((pop[:, elite_i, None], children), axis=1), known

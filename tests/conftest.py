@@ -60,9 +60,9 @@ def rng() -> random.Random:
 class StubRandom(random.Random):
     """random.Random whose getrandbits answers come from a script.
 
-    The GA draws every index with ``_randbelow(n)``, which in a subclass
-    that overrides ``getrandbits`` asks it for ``n.bit_length()`` bits and
-    keeps a value below n, so a scripted value below n is the index drawn.
+    The GA draws every index below n by asking ``getrandbits`` for
+    ``n.bit_length()`` bits until the value is below n
+    (``encoding.randbelow``), so a scripted value below n is the index drawn.
     Scripted entries are popped in call order; when the script runs dry the
     real generator takes over, so tests can force just the first few
     choices (crossover cut points, tournament draws) and leave the rest

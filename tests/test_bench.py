@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -160,6 +163,20 @@ def test_worker_pool_size_does_not_change_results():
     seq = run_experiment(spec, workers=1)
     par = run_experiment(spec, workers=3)
     assert report_to_dict(seq) == report_to_dict(par)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool is imported only when workers > 1, so a single-process run
+    # does not pay for concurrent.futures and multiprocessing at start-up
+    src = Path(adplan.bench.__file__).resolve().parents[1]
+    code = (
+        "import sys, adplan; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_run_panic_aborts_with_partial_results(tmp_path, monkeypatch):

@@ -7,7 +7,14 @@ import random
 import pytest
 
 import adplan.ga
-from adplan.encoding import PlanChromosome, PlanMetrics, validate_chromosome
+import reference_ops as ref
+from adplan.encoding import (
+    PlanChromosome,
+    PlanMetrics,
+    crossover,
+    random_chromosome,
+    validate_chromosome,
+)
 from adplan.fitness import EvalContext, FitnessMode, Weights
 from adplan.ga import (
     GAConfig,
@@ -21,7 +28,8 @@ from adplan.ga import (
 from adplan.fuzzy import build_controller_system
 from adplan.product import load_product, product_from_dict
 from conftest import ORACLE_OPTIMA, StubRandom, load_fixture
-from test_product import doc
+from reference_ops import chromosomes, population
+from test_product import doc, random_model
 
 
 def stats_row(
@@ -106,27 +114,48 @@ def test_config_uncontrolled_modes_take_rates_outside_bounds(letter):
 def test_select_tournament_probabilities():
     # two individuals: the fitter one wins 3 of the 4 equally likely draw
     # pairs, the weaker only the (weak, weak) pair -> P(fitter) = 0.75
-    weak, fit = object(), object()
-    scored = [(weak, 1.0), (fit, 2.0)]
     outcomes = []
     for pair in [(0, 0), (0, 1), (1, 0), (1, 1)]:
         stub = StubRandom(bits=list(pair))
-        outcomes.append(select(scored, stub))
-    assert outcomes == [weak, fit, fit, fit]
+        rows, donors, cuts = select([1.0, 2.0], 0, 3, stub)
+        assert donors == [] and cuts == ([], [])
+        outcomes.extend(rows)
+    assert outcomes == [0, 1, 1, 1]
 
 
 def test_select_tie_keeps_first_draw():
-    a, b = object(), object()
-    scored = [(a, 2.0), (b, 2.0)]
-    assert select(scored, StubRandom(bits=[0, 1])) is a
-    assert select(scored, StubRandom(bits=[1, 0])) is b
+    assert select([2.0, 2.0], 0, 3, StubRandom(bits=[0, 1]))[0] == [0]
+    assert select([2.0, 2.0], 0, 3, StubRandom(bits=[1, 0]))[0] == [1]
 
 
 def test_select_returns_member(rng):
-    scored = [(f"c{i}", float(i % 3)) for i in range(10)]
-    members = {c for c, _ in scored}
-    for _ in range(100):
-        assert select(scored, rng) in members
+    values = [float(i % 3) for i in range(10)]
+    for n_cross in range(10):
+        rows, donors, (lo, hi) = select(values, n_cross, 6, rng)
+        assert len(rows) == 9 and len(donors) == len(lo) == len(hi) == n_cross
+        assert set(rows) | set(donors) <= set(range(10))
+        assert all(0 <= i < j <= 6 for i, j in zip(lo, hi))
+
+
+def test_select_matches_reference():
+    # 1,100 random generations, n = 1..44: select's rows, donors and cuts
+    # give the scalar loop's children and leave the same generator state
+    maker = random.Random(3)
+    for trial in range(1100):
+        n = 1 + trial % 44
+        model = random_model(maker, n=n, ndirs=3, ngrips=3)
+        p = maker.randint(2, 24)
+        chroms = [random_chromosome(model, maker) for _ in range(p)]
+        values = [float(maker.randrange(4)) for _ in range(p)]  # ties included
+        n_cross = maker.randint(0, p - 1)
+        seed = maker.getrandbits(32)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        rows, donors, cuts = select(values, n_cross, n, ours)
+        pop = population(chroms)
+        got = chromosomes(crossover(pop, rows[:n_cross], donors, cuts))
+        got += [chroms[r] for r in rows[n_cross:]]
+        assert got == ref.offspring(list(zip(chroms, values)), n_cross, theirs)
+        assert ours.getstate() == theirs.getstate()
 
 
 # -- diversity ----------------------------------------------------------------
@@ -134,26 +163,26 @@ def test_select_returns_member(rng):
 
 def test_diversity_identical_population_is_zero():
     c = PlanChromosome((0, 1, 2), (0, 0, 0), (0, 0, 0))
-    assert population_diversity([c] * 10) == 0.0
+    assert population_diversity(population([c] * 10)) == 0.0
 
 
 def test_diversity_reversed_permutations_is_one():
     a = PlanChromosome((0, 1, 2, 3), (0,) * 4, (0,) * 4)
     b = PlanChromosome((3, 2, 1, 0), (0,) * 4, (0,) * 4)
-    assert population_diversity([a, b]) == 1.0
+    assert population_diversity(population([a, b])) == 1.0
 
 
 def test_diversity_extremes_and_bounds(rng):
-    assert population_diversity([]) == 0.0
+    assert population_diversity(population([])) == 0.0
     single = PlanChromosome((0,), (0,), (0,))
-    assert population_diversity([single]) == 0.0
+    assert population_diversity(population([single])) == 0.0
     pop = []
     base = list(range(6))
     for _ in range(40):
         seq = base[:]
         rng.shuffle(seq)
         pop.append(PlanChromosome(tuple(seq), (0,) * 6, (0,) * 6))
-    d = population_diversity(pop)
+    d = population_diversity(population(pop))
     assert 0.0 < d <= 1.0
 
 
@@ -172,7 +201,7 @@ def test_diversity_equals_all_pairs_reference(p, n):
             pop.append(PlanChromosome(tuple(seq), (0,) * n, (0,) * n))
         pairs = [(a, b) for k, a in enumerate(pop) for b in pop[k + 1 :]]
         differ = sum(x != y for a, b in pairs for x, y in zip(a.sequence, b.sequence))
-        assert population_diversity(pop) == differ / (len(pairs) * n)
+        assert population_diversity(population(pop)) == differ / (len(pairs) * n)
 
 
 def test_diversity_does_not_steer_static_modes(monkeypatch):
@@ -312,9 +341,10 @@ def test_evolve_audit_mode_validates_every_generation(monkeypatch):
     audited: list[int] = []
 
     def audit(pop):
-        for c in pop:
+        assert pop.shape == (3, 12, model.n)
+        for c in chromosomes(pop):
             validate_chromosome(model, c)
-        audited.append(len(pop))
+        audited.append(pop.shape[1])
         return real_diversity(pop)
 
     monkeypatch.setattr(adplan.ga, "population_diversity", audit)
@@ -327,18 +357,24 @@ def test_evolve_audit_mode_validates_every_generation(monkeypatch):
 def test_evolve_computes_metrics_only_for_new_chromosomes(monkeypatch):
     # the diversity statistic closes each generation and shows its
     # population, evaluate() the metrics the GA scored it with, the wrapped
-    # metrics() the calls actually made
+    # metrics() the calls actually made; the wrapped crossover and mutate
+    # show which rows of the next generation are new: every crossover
+    # child and every mutated clone
     model = load_fixture("cage5")
     size = 20
     real_metrics = adplan.ga.metrics
     real_diversity = adplan.ga.population_diversity
+    real_crossover = adplan.ga.crossover
+    real_mutate = adplan.ga.mutate
     real_evaluate = EvalContext.evaluate
     pops: list[list[PlanChromosome]] = []
     calls: list[int] = [0]
     scored: list[list[PlanMetrics]] = [[]]
+    fresh: list[int] = []
+    n_cross: list[int] = []
 
     def diversity(pop):
-        pops.append(list(pop))
+        pops.append(chromosomes(pop))
         calls.append(0)
         scored.append([])
         return real_diversity(pop)
@@ -351,17 +387,29 @@ def test_evolve_computes_metrics_only_for_new_chromosomes(monkeypatch):
         scored[-1].append(m)
         return real_evaluate(self, m)
 
+    def crossing(pop, keep, donor, cuts):
+        n_cross.append(len(keep))
+        return real_crossover(pop, keep, donor, cuts)
+
+    def mutating(children, model_, mut_p, rng):
+        rows = real_mutate(children, model_, mut_p, rng)
+        assert children.shape[1] == size - 1  # every row but the elite
+        fresh.append(n_cross[-1] + sum(r >= n_cross[-1] for r in rows))
+        return rows
+
     monkeypatch.setattr(adplan.ga, "population_diversity", diversity)
     monkeypatch.setattr(adplan.ga, "metrics", counting)
+    monkeypatch.setattr(adplan.ga, "crossover", crossing)
+    monkeypatch.setattr(adplan.ga, "mutate", mutating)
     monkeypatch.setattr(EvalContext, "evaluate", evaluate)
     cfg = GAConfig(population_size=size, max_generations=30, seed=2)
     evolve(model, cfg)
     assert calls.pop() == 0 and scored.pop() == []  # nothing after the last
-    assert len(pops) == 30
+    assert len(pops) == 30 and len(fresh) == 29
+    assert set(n_cross) == {8}  # round(0.4 * 20)
     assert calls[0] == size
-    for prev, pop, n_calls in zip(pops, pops[1:], calls[1:]):
-        new = sum(not any(c is old for old in prev) for c in pop)
-        assert n_calls == new < size  # the elite is never re-scored
+    assert calls[1:] == fresh
+    assert all(n < size for n in fresh)  # the elite is never re-scored
     for pop, ms in zip(pops, scored):
         assert ms == [real_metrics(model, c) for c in pop]
 

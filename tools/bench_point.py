@@ -14,7 +14,9 @@ Usage, from the repository root:
 ``--root`` measures another checkout with that checkout's own benchmark and
 tests; the file goes to ``<root>/BENCH_<number>.json`` unless ``--out`` is
 given.  One point takes a few minutes: six benchmark runs of 10 s each plus
-their checks, and one Tier-1 pass.
+their checks, and one Tier-1 pass.  Each subprocess has a fixed time limit;
+one that runs past it is stopped and recorded in the point as timed out
+(``"timed_out": true``), so a hang cannot block the tool.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ import numpy
 HERE = Path(__file__).resolve().parent
 SEED = 0
 SECONDS = 10.0
+#: limits per subprocess: one benchmark run (10 s of rounds, its set-up and
+#: checks; a round takes under 30 s), and the whole Tier-1 suite
+BENCH_TIMEOUT_S = 600.0
+TIER1_TIMEOUT_S = 1800.0
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -43,11 +49,18 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     return p.parse_args(argv)
 
 
-def bench(root: Path, workload: str, trace: int) -> dict:
-    """One perfbench run; its last stdout line is the result object."""
+def bench(root: Path, workload: str, trace: int) -> dict | None:
+    """One perfbench run; its last stdout line is the result object.  None
+    if the run passed BENCH_TIMEOUT_S."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(
+            cmd, cwd=root, capture_output=True, text=True, timeout=BENCH_TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        print(f"{' '.join(cmd)}: timed out after {BENCH_TIMEOUT_S:.0f} s", file=sys.stderr)
+        return None
     if proc.returncode != 0:
         sys.exit(f"error: {' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()[-300:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -58,16 +71,25 @@ def tier1(root: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
-        cwd=root, env=env, capture_output=True, text=True,
-    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=TIER1_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return {
+            "wall_s": {"value": time.perf_counter() - t0, "unit": "s"},
+            "exit_code": None,
+            "summary": f"timed out after {TIER1_TIMEOUT_S:.0f} s",
+            "timed_out": True,
+        }
     wall = time.perf_counter() - t0
     lines = proc.stdout.strip().splitlines()
     return {
         "wall_s": {"value": wall, "unit": "s"},
         "exit_code": proc.returncode,
         "summary": lines[-1] if lines else None,
+        "timed_out": False,
     }
 
 
@@ -89,15 +111,16 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": {},
     }
     for name in names:
-        runs = {trace: bench(root, name, trace) for trace in (0, 1)}
+        untraced, traced = (bench(root, name, trace) for trace in (0, 1))
         point["workloads"][name] = {
-            "correct": runs[0]["correct"] and runs[1]["correct"],
-            "attempted": runs[0]["attempted"],
-            "failed": runs[0]["failed"],
-            "end_to_end": runs[0]["metrics"],
-            "per_layer": runs[1]["metrics"],
+            "correct": bool(untraced and traced and untraced["correct"] and traced["correct"]),
+            "timed_out": {"untraced": untraced is None, "traced": traced is None},
+            "attempted": untraced and untraced["attempted"],
+            "failed": untraced and untraced["failed"],
+            "end_to_end": untraced and untraced["metrics"],
+            "per_layer": traced and traced["metrics"],
         }
-        print(f"{name}: {json.dumps(runs[0]['metrics'])}", file=sys.stderr)
+        print(f"{name}: {json.dumps(untraced and untraced['metrics'])}", file=sys.stderr)
     point["tier1"] = tier1(root)
     out = args.out or root / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(point, indent=2, sort_keys=True) + "\n", encoding="utf-8")
