@@ -7,8 +7,8 @@ order crossover; the direction and gripper genes travel with the component
 they were attached to in the parent.
 
 The GA holds its population as one ``(3, P, n)`` integer array, one plane
-per section, and ``crossover`` and ``mutate`` work on a whole generation
-at a time.  Every index draw follows ``randbelow``, the rule
+per section, and ``metrics``, ``crossover`` and ``mutate`` work on a whole
+generation at a time.  Every index draw follows ``randbelow``, the rule
 ``randrange(n)`` itself ends in, so the stream is exactly ``randrange``'s
 and seeded results match it.
 """
@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .product import ProductModel, opposite_label
+from .product import ProductModel, mask_words, opposite_label
 
 
 class PlanChromosome(NamedTuple):
@@ -36,6 +36,8 @@ class PlanMetrics(NamedTuple):
     feasible_len counts the leading positions that are removable in order;
     orient_changes and grip_changes count adjacent changes strictly inside
     that feasible prefix.  A fully feasible plan has feasible_len == n_parts.
+    The metrics of a population hold one array per field instead, with one
+    entry per plan, and the shared n_parts.
     """
 
     feasible_len: int
@@ -90,34 +92,36 @@ def random_chromosome(model: ProductModel, rng: random.Random) -> PlanChromosome
     return PlanChromosome(tuple(seq), tuple(dirs), tuple(grips))
 
 
-def metrics(model: ProductModel, chrom: PlanChromosome) -> PlanMetrics:
-    """Evaluate feasible prefix length and change counts for a plan.
+@lru_cache
+def _part_words(n: int) -> np.ndarray:
+    """Per part count n: the one-part removed sets as ``mask_words``."""
+    return mask_words(np.eye(n, dtype=bool))
 
-    Walks the sequence keeping a removed-set bitmask.  The walk stops at the
-    first position whose component is still blocked along its assigned
-    direction; orientation and gripper changes past that point do not count.
-    ``chrom`` may be any (sequence, directions, grippers) triple of
-    sequences, such as one population row read from ``tolist()``.
+
+def metrics(model: ProductModel, plans) -> PlanMetrics:
+    """Feasible prefix length and change counts of one plan or of many.
+
+    ``plans`` is one (sequence, directions, grippers) triple, giving int
+    fields, or a ``(3, P, n)`` population array, giving one array entry per
+    row.  The removed set before each position accumulates the parts before
+    it as 64-bit ``mask_words``, so any part count takes one path.  The
+    feasible prefix ends at the first position whose blockers along its
+    direction are not all removed; changes count only inside the prefix.
     """
-    seq, dirs, grips = chrom
-    masks = model.blocker_masks
-    removed = 0
-    o = 0
-    g = 0
-    n = len(seq)
-    prefix = 0
-    for pos in range(n):
-        part = seq[pos]
-        if masks[dirs[pos]][part] & ~removed:
-            break
-        if pos:
-            if dirs[pos] != dirs[pos - 1]:
-                o += 1
-            if grips[pos] != grips[pos - 1]:
-                g += 1
-        removed |= 1 << part
-        prefix = pos + 1
-    return PlanMetrics(prefix, o, g, n)
+    pop = np.asarray(plans, np.intp)
+    if pop.ndim == 2:  # one plan: a population of one, read back as ints
+        return PlanMetrics(*(int(f[0]) for f in metrics(model, pop[:, None])[:3]), pop.shape[1])
+    seq, dirs = pop[0], pop[1]
+    n = seq.shape[1]
+    words = model.blocker_words
+    removed = np.bitwise_or.accumulate(_part_words(n).take(seq[:, :-1], axis=0), axis=1)
+    blocked = words.reshape(-1, words.shape[2]).take(dirs * n + seq, axis=0)
+    blocked[:, 1:] &= ~removed
+    free = np.logical_and.accumulate(~blocked.any(axis=2), axis=1)
+    length = free.sum(axis=1)
+    # direction and gripper changes between neighbours inside the prefix
+    o, g = ((pop[1:, :, 1:] != pop[1:, :, :-1]) & free[:, 1:]).sum(axis=2)
+    return PlanMetrics(length, o, g, n)
 
 
 @lru_cache

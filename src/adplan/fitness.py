@@ -11,12 +11,18 @@ The adaptive variant scores plans by feasible prefix length alone until the
 whole population is feasible for the first time, then switches (and stays)
 on the full algebraic form.  The fuzzy variant normalizes the three metrics
 into [0, 1] and ranks plans by the Mamdani quality output.
+
+The algebraic and adaptive forms score one plan's metrics, or a population's
+array-valued metrics row by row with the same arithmetic.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
+
+import numpy as np
 
 from .encoding import PlanMetrics
 from .fuzzy import FuzzySystem, build_ranking_system
@@ -75,7 +81,7 @@ def algebraic_fitness(m: PlanMetrics, weights: Weights = Weights()) -> float:
 def adaptive_fitness(m: PlanMetrics, weights: Weights, population_all_feasible: bool) -> float:
     """Phase 1 (not all feasible): prefix length only; phase 2: algebraic."""
     if not population_all_feasible:
-        return float(m.feasible_len)
+        return m.feasible_len * 1.0  # a float, or a float array
     return algebraic_fitness(m, weights)
 
 
@@ -84,6 +90,12 @@ def rank_key(value: float, metrics: PlanMetrics) -> tuple[float, int, int]:
     orientation changes, then fewer gripper changes.
     """
     return (-value, metrics.orient_changes, metrics.grip_changes)
+
+
+def best_row(values: np.ndarray, metrics: PlanMetrics) -> int:
+    """The first row with the smallest ``rank_key`` over a population's
+    fitness values and array-valued metrics."""
+    return int(np.lexsort(rank_key(values, metrics)[::-1])[0])  # stable
 
 
 def normalized_measures(m: PlanMetrics) -> dict[str, float]:
@@ -112,11 +124,10 @@ class EvalContext:
     """Everything fitness evaluation needs besides the plan metrics.
 
     ``all_feasible`` is the adaptive phase flag; it is given at construction
-    or set once through ``latch``, and assigning it afterwards raises.
-    ``cache`` memoizes the fitness of each distinct ``PlanMetrics`` in every
-    mode, so each one is scored (and mode B's fuzzy inference run) once per
-    phase; ``latch`` empties it because the adaptive fitness changes scale
-    with the phase.
+    or set once through ``latch``, and assigning it afterwards raises, so
+    the phase only moves forward.  ``cache`` memoizes mode B's fuzzy
+    quality of each distinct ``PlanMetrics``, so each one is inferred once;
+    the other modes score straight from their formulas.
     """
 
     mode: FitnessMode = FitnessMode.ALGEBRAIC
@@ -137,16 +148,20 @@ class EvalContext:
     def latch(self) -> None:
         """Enter the adaptive second phase (all plans scored algebraically)."""
         self.__dict__["all_feasible"] = True
-        self.cache.clear()
 
-    def evaluate(self, m: PlanMetrics) -> float:
-        value = self.cache.get(m)
-        if value is None:
-            if self.mode is FitnessMode.FUZZY_RANKED:
-                value = fuzzy_fitness(m, self.ranking_system)
-            elif self.mode.adaptive:
-                value = adaptive_fitness(m, self.weights, self.all_feasible)
-            else:
-                value = algebraic_fitness(m, self.weights)
-            self.cache[m] = value
-        return value
+    def evaluate(self, m: PlanMetrics):
+        """Fitness of one plan's metrics, or a float array with one value
+        per row of a population's array-valued metrics."""
+        if self.mode.adaptive:
+            return adaptive_fitness(m, self.weights, self.all_feasible)
+        if self.mode is not FitnessMode.FUZZY_RANKED:
+            return algebraic_fitness(m, self.weights)
+        cache, n = self.cache, m.n_parts
+        values = []
+        for key in zip(*(np.atleast_1d(f).tolist() for f in m[:3]), repeat(n)):
+            value = cache.get(key)  # a plain tuple finds its PlanMetrics key
+            if value is None:
+                key = PlanMetrics(*key)
+                value = cache[key] = fuzzy_fitness(key, self.ranking_system)
+            values.append(value)
+        return np.array(values) if np.ndim(m.feasible_len) else values[0]

@@ -4,9 +4,11 @@ Selection is binary tournament with replacement, elitism carries the single
 best individual unchanged, and the crossover rate is the fraction of the next
 generation produced by order crossover (the rest are selected clones).  Each
 non-elite individual is mutated with the current mutation probability.
-The population is one ``(3, P, n)`` array, and each generation is bred with
-three batched calls (``select``, ``crossover``, ``mutate``) that draw the
-same numbers, in the same order, as breeding one child at a time.
+The population is one ``(3, P, n)`` array.  Each generation is scored with
+one ``metrics`` and one ``EvalContext.evaluate`` call over the whole array,
+and bred with three batched calls (``select``, ``crossover``, ``mutate``)
+that draw the same numbers, in the same order, as breeding one child at a
+time.
 
 Mode D layers a fuzzy run-time controller on top: after every generation the
 controller reads stagnation (generations since the max fitness last improved,
@@ -32,7 +34,7 @@ from .encoding import (
     mutate,
     random_chromosome,
 )
-from .fitness import EvalContext, FitnessMode, Weights, algebraic_fitness, rank_key
+from .fitness import EvalContext, FitnessMode, Weights, algebraic_fitness, best_row, rank_key
 from .fuzzy import ControllerSystems, build_controller_system
 from .product import ProductModel
 
@@ -247,37 +249,34 @@ def evolve(model: ProductModel, config: GAConfig) -> RunResult:
     pop = np.array(
         [random_chromosome(model, rng) for _ in range(size)], np.intp
     ).transpose(1, 0, 2).copy()
-    mlist: list[PlanMetrics | None] = [None] * size
     mut_p = config.mutation_prob
     cross_r = config.crossover_rate
     history: list[GenerationStats] = []
     best_key: tuple[float, int, int] | None = None
     best_chrom: PlanChromosome | None = None
     best_m: PlanMetrics | None = None
-    evaluate = ctx.evaluate
 
     for gen in range(config.max_generations):
-        new = [r for r, m in enumerate(mlist) if m is None]
-        for r, chrom in zip(new, zip(*pop.take(new, axis=1).tolist())):
-            mlist[r] = metrics(model, chrom)
-        feasible = sum(1 for m in mlist if m.feasible_len == m.n_parts)
+        m = metrics(model, pop)
+        feasible = int(np.count_nonzero(m.feasible_len == model.n))
         if ctx.mode.adaptive and not ctx.all_feasible and feasible == size:
             ctx.latch()
             best_key = None  # fitness scale changed with the phase
-        values = [evaluate(m) for m in mlist]
-        keys = list(map(rank_key, values, mlist))
-        gen_key = min(keys)
-        best_i = keys.index(gen_key)  # first of equals
+        scores = ctx.evaluate(m)
+        best_i = best_row(scores, m)
+        values = scores.tolist()
+        gen_m = PlanMetrics(*(int(x[best_i]) for x in m[:3]), model.n)
+        gen_key = rank_key(values[best_i], gen_m)
         if best_key is None or gen_key < best_key:
             best_key = gen_key
             best_chrom = PlanChromosome._make(map(tuple, pop[:, best_i].tolist()))
-            best_m = mlist[best_i]
+            best_m = gen_m
         history.append(
             GenerationStats(
                 generation=gen,
                 max_fitness=values[best_i],
                 mean_fitness=sum(values) / len(values),
-                best_metrics=mlist[best_i],
+                best_metrics=gen_m,
                 mutation_prob=mut_p,
                 crossover_rate=cross_r,
                 diversity=population_diversity(pop),
@@ -289,7 +288,7 @@ def evolve(model: ProductModel, config: GAConfig) -> RunResult:
             break
         if controlled:
             mut_p, cross_r = controller_update(history, controller, config)
-        pop, mlist = _breed(pop, values, mlist, best_i, mut_p, cross_r, model, rng)
+        pop = _breed(pop, values, best_i, mut_p, cross_r, model, rng)
 
     best_alg = algebraic_fitness(best_m, config.weights)
     success = (
@@ -312,25 +311,19 @@ def evolve(model: ProductModel, config: GAConfig) -> RunResult:
 def _breed(
     pop: np.ndarray,
     values: list[float],
-    mlist: list[PlanMetrics],
     elite_i: int,
     mut_p: float,
     cross_r: float,
     model: ProductModel,
     rng: random.Random,
-) -> tuple[np.ndarray, list[PlanMetrics | None]]:
+) -> np.ndarray:
     """The next generation: the elite, the crossover children, then the
-    clones, all but the elite mutated.  Also returns each row's metrics
-    where they are known to be unchanged (the elite and unmutated clones),
-    None for new chromosomes.
-    """
+    clones, all but the elite mutated."""
     p = len(values)
     n_cross = min(p - 1, round(cross_r * p))
     rows, donors, cuts = select(values, n_cross, pop.shape[2], rng)
     children = np.concatenate(
         (crossover(pop, rows[:n_cross], donors, cuts), pop.take(rows[n_cross:], axis=1)), axis=1
     )
-    known = [mlist[elite_i]] + [None] * n_cross + [mlist[r] for r in rows[n_cross:]]
-    for r in mutate(children, model, mut_p, rng):
-        known[r + 1] = None
-    return np.concatenate((pop[:, elite_i, None], children), axis=1), known
+    mutate(children, model, mut_p, rng)
+    return np.concatenate((pop[:, elite_i, None], children), axis=1)

@@ -10,13 +10,15 @@ the planner itself only consults interference.
 
 Removed sets are represented as integer bitmasks (bit ``i`` set means
 component ``i`` is gone), which makes the removability test a single mask
-operation against precomputed per-direction blocker masks.
+operation against precomputed per-direction blocker masks.  Batched code
+holds the same masks as arrays of 64-bit words (``mask_words``).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -57,8 +59,17 @@ def removed_mask(parts: Iterable[int]) -> int:
     """Pack an iterable of component indices into a removed-set bitmask."""
     mask = 0
     for p in parts:
-        mask |= 1 << p
+        mask |= 1 << int(p)  # a numpy index would make a fixed-width mask
     return mask
+
+
+def mask_words(bits: np.ndarray) -> np.ndarray:
+    """Pack the last axis of a boolean array, of length n, into a read-only
+    array of ceil(n / 64) ``uint64`` words: bit i of word w is entry 64·w + i."""
+    padded = np.pad(bits, [(0, 0)] * (bits.ndim - 1) + [(0, -bits.shape[-1] % 64)])
+    words = np.packbits(padded, axis=-1, bitorder="little").view("<u8")
+    words.flags.writeable = False  # shared by every caller
+    return words
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +111,11 @@ class ProductModel:
             for d in range(len(self.directions))
         )
         object.__setattr__(self, "blocker_masks", masks)
+
+    @cached_property
+    def blocker_words(self) -> np.ndarray:
+        """``blocker_masks`` as ``(D, n, W)`` ``mask_words``, built on first use."""
+        return mask_words(self.interference)
 
     # -- invariants -------------------------------------------------------
 
@@ -155,18 +171,6 @@ class ProductModel:
     def n(self) -> int:
         """Number of components."""
         return len(self.part_names)
-
-    def direction_index(self, label: str) -> int:
-        try:
-            return self.directions.index(label)
-        except ValueError:
-            raise KeyError(f"unknown direction label {label!r}") from None
-
-    def gripper_index(self, label: str) -> int:
-        try:
-            return self.gripper_catalog.index(label)
-        except ValueError:
-            raise KeyError(f"unknown gripper label {label!r}") from None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProductModel):

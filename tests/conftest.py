@@ -46,6 +46,41 @@ def load_fixture(name: str) -> ProductModel:
     return product_from_dict(json.loads(fixture_path(name).read_text(encoding="utf-8")))
 
 
+def stack_doc(n: int, seed: int = 0) -> tuple[dict, list[list[int]]]:
+    """A two-column stack of n parts and its columns, bottom to top.
+
+    Along +z a part is blocked by every part above it in its column, along
+    -z by every part below it; part ids are shuffled over the columns and
+    each part allows one or two of three grippers.
+    """
+    rng = random.Random(seed)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    columns = [ids[: n // 2], ids[n // 2 :]]
+    up = [[0] * n for _ in range(n)]
+    down = [[0] * n for _ in range(n)]
+    for col in columns:
+        for k, part in enumerate(col):
+            for above in col[k + 1 :]:
+                up[part][above] = 1
+                down[above][part] = 1
+    catalog = ["G1", "G2", "G3"]
+    zeros = [[0] * n for _ in range(n)]
+    doc = {
+        "name": f"stack{n}",
+        "components": [
+            {"id": i, "name": f"S{i + 1}", "grippers": sorted(rng.sample(catalog, rng.randint(1, 2)))}
+            for i in range(n)
+        ],
+        "directions": ["+z", "-z"],
+        "grippers": catalog,
+        "interference": {"+z": up, "-z": down},
+        "contact": {"+z": zeros, "-z": zeros},
+        "connection": {"+z": zeros, "-z": zeros},
+    }
+    return doc, columns
+
+
 @pytest.fixture(scope="session")
 def fixture_models() -> dict[str, ProductModel]:
     names = list(ORACLE_OPTIMA) + list(STACK_TARGETS)

@@ -1,9 +1,10 @@
 """Scalar GA operators: the one-chromosome-at-a-time forms of the batched
-``ga.select``, ``encoding.crossover`` and ``encoding.mutate``.
+``encoding.metrics``, ``ga.select``, ``encoding.crossover`` and
+``encoding.mutate``.
 
-The GA once bred with exactly these functions, drawing through
-``randrange``; the batched operators must give the same children and leave
-the generator in the same state.  ``population`` and ``chromosomes``
+The GA once scored and bred with exactly these functions, drawing through
+``randrange``; the batched operators must give the same metrics and
+children and leave the generator in the same state.  ``population`` and ``chromosomes``
 convert between a list of chromosomes and a ``(3, P, n)`` population array.
 """
 
@@ -14,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from adplan.encoding import PlanChromosome
+from adplan.encoding import PlanChromosome, PlanMetrics
 from adplan.product import ProductModel
 
 
@@ -28,6 +29,35 @@ def population(chroms: Sequence[PlanChromosome]) -> np.ndarray:
 def chromosomes(pop: np.ndarray) -> list[PlanChromosome]:
     """The rows of a population array as chromosomes of Python ints."""
     return [PlanChromosome(*map(tuple, sections)) for sections in zip(*pop.tolist())]
+
+
+def walk_metrics(model: ProductModel, chrom: Sequence[Sequence[int]]) -> PlanMetrics:
+    """Feasible prefix length and change counts, by walking the plan.
+
+    Keeps the removed set as one Python int bitmask and stops at the first
+    position whose component is still blocked along its assigned
+    direction; orientation and gripper changes past that point do not
+    count.  ``chrom`` is any (sequence, directions, grippers) triple.
+    """
+    seq, dirs, grips = chrom
+    masks = model.blocker_masks
+    removed = 0
+    o = 0
+    g = 0
+    n = len(seq)
+    prefix = 0
+    for pos in range(n):
+        part = seq[pos]
+        if masks[dirs[pos]][part] & ~removed:
+            break
+        if pos:
+            if dirs[pos] != dirs[pos - 1]:
+                o += 1
+            if grips[pos] != grips[pos - 1]:
+                g += 1
+        removed |= 1 << part
+        prefix = pos + 1
+    return PlanMetrics(prefix, o, g, n)
 
 
 def select(scored: Sequence[tuple], rng: random.Random):

@@ -13,7 +13,7 @@ import pytest
 import adplan.bench
 from adplan.bench import fixture_hash
 from adplan.cli import main
-from conftest import FIXTURE_DIR, fixture_path
+from conftest import FIXTURE_DIR, fixture_path, stack_doc
 from test_product import doc
 
 
@@ -129,6 +129,15 @@ def test_plan_stdout_is_deterministic(capsys):
     record = json.loads(out1[out1.index("{"):])
     assert record["fitness"]["mode"] == "A"
     assert record["feasible"] is True
+
+
+def test_plan_runs_on_a_70_part_stack(capsys, tmp_path):
+    path = tmp_path / "stack70.json"
+    path.write_text(json.dumps(stack_doc(70)[0]), encoding="utf-8")
+    code, out, err = run_cli(capsys, "plan", path, "--gens", "5", "--pop", "10")
+    assert code == 0 and err == ""
+    record = json.loads(out[out.index("{"):])
+    assert record["metrics"]["components"] == 70
 
 
 def test_plan_seed_changes_output(capsys):

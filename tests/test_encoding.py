@@ -21,7 +21,7 @@ from adplan.encoding import (
 )
 from adplan.ga import select
 from adplan.product import product_from_dict
-from conftest import ORACLE_OPTIMA, STACK_TARGETS, StubRandom, load_fixture
+from conftest import ORACLE_OPTIMA, STACK_TARGETS, StubRandom, load_fixture, stack_doc
 from reference_ops import chromosomes, population
 from reference_ops import ox_child as ref_ox
 from removal_reference import reduce, removable
@@ -106,6 +106,20 @@ def test_metrics_bounds_invariants(rng):
         assert 0 <= m.feasible_len <= m.n_parts
         assert 0 <= m.orient_changes <= max(m.feasible_len - 1, 0)
         assert 0 <= m.grip_changes <= max(m.feasible_len - 1, 0)
+
+
+def test_metrics_top_down_plan_of_a_70_part_stack_is_feasible():
+    # past 64 parts the removed set spans two mask words
+    data, columns = stack_doc(70)
+    model = product_from_dict(data)
+    seq = [part for col in columns for part in reversed(col)]  # each column top down
+    grips = [model.allowed_grippers[part][0] for part in seq]
+    plan = PlanChromosome(tuple(seq), (0,) * 70, tuple(grips))  # all +z
+    m = metrics(model, plan)
+    assert m == ref.walk_metrics(model, plan)
+    assert (m.feasible_len, m.orient_changes, m.n_parts) == (70, 0, 70)
+    # bottom up, the first part is blocked
+    assert metrics(model, plan._replace(sequence=tuple(reversed(seq)))).feasible_len == 0
 
 
 # -- random_chromosome ------------------------------------------------------

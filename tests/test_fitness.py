@@ -310,26 +310,35 @@ def test_eval_context_caches_fuzzy_triples():
 
 @pytest.mark.parametrize("mode", list(FitnessMode))
 def test_eval_context_caches_every_mode_per_phase(mode):
+    # what the cache holds in each mode and phase: mode B memoises its
+    # fuzzy quality per metrics, across phases; the other modes score
+    # straight from their formulas and cache nothing
     ctx = EvalContext(mode)
     m = pm(2, 1, 1, 3)
     first = ctx.evaluate(m)
-    assert list(ctx.cache) == [m]
-    ctx.cache[m] = 123.0  # prove the cache is consulted
-    assert ctx.evaluate(m) == 123.0
+    if mode is FitnessMode.FUZZY_RANKED:
+        assert first == fuzzy_fitness(m, ctx.ranking_system)
+        assert list(ctx.cache) == [m]
+        ctx.cache[m] = 123.0  # prove the cache is consulted
+        assert ctx.evaluate(m) == 123.0
+        first = 123.0
+    else:
+        assert ctx.cache == {}
+        assert first == (2.0 if mode.adaptive else algebraic_fitness(m, ctx.weights))
     ctx.latch()
-    assert ctx.all_feasible and ctx.cache == {}
-    # a new phase scores afresh: algebraically in the adaptive modes
+    assert ctx.all_feasible
+    # the second phase scores algebraically in the adaptive modes
     expect = algebraic_fitness(m, ctx.weights) if mode.adaptive else first
     assert ctx.evaluate(m) == expect
 
 
 def test_eval_context_phase_changes_only_through_latch():
-    # assigning the flag would keep phase-1 values in the memo
+    # the phase only moves forward, through latch()
     ctx = EvalContext(FitnessMode.ADAPTIVE)
     ctx.evaluate(pm(2, 1, 1, 3))
     with pytest.raises(AttributeError, match="latch"):
         ctx.all_feasible = True
-    assert not ctx.all_feasible and len(ctx.cache) == 1
+    assert not ctx.all_feasible and ctx.evaluate(pm(2, 1, 1, 3)) == 2.0
     assert EvalContext(FitnessMode.ADAPTIVE, all_feasible=True).all_feasible
 
 

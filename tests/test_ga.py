@@ -15,7 +15,7 @@ from adplan.encoding import (
     random_chromosome,
     validate_chromosome,
 )
-from adplan.fitness import EvalContext, FitnessMode, Weights
+from adplan.fitness import EvalContext, FitnessMode, Weights, algebraic_fitness, rank_key
 from adplan.ga import (
     GAConfig,
     GenerationStats,
@@ -354,64 +354,46 @@ def test_evolve_audit_mode_validates_every_generation(monkeypatch):
     assert audited == [12] * 15
 
 
-def test_evolve_computes_metrics_only_for_new_chromosomes(monkeypatch):
+def test_evolve_scores_each_generation_by_the_reference_walk(monkeypatch):
     # the diversity statistic closes each generation and shows its
-    # population, evaluate() the metrics the GA scored it with, the wrapped
-    # metrics() the calls actually made; the wrapped crossover and mutate
-    # show which rows of the next generation are new: every crossover
-    # child and every mutated clone
+    # population; the wrapped metrics() and evaluate() show what the GA
+    # scored it with, in one call each per generation
     model = load_fixture("cage5")
-    size = 20
+    weights = Weights(2.0, 1.0, 1.0)
     real_metrics = adplan.ga.metrics
     real_diversity = adplan.ga.population_diversity
-    real_crossover = adplan.ga.crossover
-    real_mutate = adplan.ga.mutate
     real_evaluate = EvalContext.evaluate
     pops: list[list[PlanChromosome]] = []
-    calls: list[int] = [0]
-    scored: list[list[PlanMetrics]] = [[]]
-    fresh: list[int] = []
-    n_cross: list[int] = []
+    scored: list = []
+    evaluated: list = []
 
     def diversity(pop):
         pops.append(chromosomes(pop))
-        calls.append(0)
-        scored.append([])
         return real_diversity(pop)
 
-    def counting(model_, chrom):
-        calls[-1] += 1
-        return real_metrics(model_, chrom)
+    def scoring(model_, pop):
+        scored.append(real_metrics(model_, pop))
+        return scored[-1]
 
     def evaluate(self, m):
-        scored[-1].append(m)
-        return real_evaluate(self, m)
-
-    def crossing(pop, keep, donor, cuts):
-        n_cross.append(len(keep))
-        return real_crossover(pop, keep, donor, cuts)
-
-    def mutating(children, model_, mut_p, rng):
-        rows = real_mutate(children, model_, mut_p, rng)
-        assert children.shape[1] == size - 1  # every row but the elite
-        fresh.append(n_cross[-1] + sum(r >= n_cross[-1] for r in rows))
-        return rows
+        evaluated.append((m, real_evaluate(self, m)))
+        return evaluated[-1][1]
 
     monkeypatch.setattr(adplan.ga, "population_diversity", diversity)
-    monkeypatch.setattr(adplan.ga, "metrics", counting)
-    monkeypatch.setattr(adplan.ga, "crossover", crossing)
-    monkeypatch.setattr(adplan.ga, "mutate", mutating)
+    monkeypatch.setattr(adplan.ga, "metrics", scoring)
     monkeypatch.setattr(EvalContext, "evaluate", evaluate)
-    cfg = GAConfig(population_size=size, max_generations=30, seed=2)
-    evolve(model, cfg)
-    assert calls.pop() == 0 and scored.pop() == []  # nothing after the last
-    assert len(pops) == 30 and len(fresh) == 29
-    assert set(n_cross) == {8}  # round(0.4 * 20)
-    assert calls[0] == size
-    assert calls[1:] == fresh
-    assert all(n < size for n in fresh)  # the elite is never re-scored
-    for pop, ms in zip(pops, scored):
-        assert ms == [real_metrics(model, c) for c in pop]
+    cfg = GAConfig(population_size=20, max_generations=30, weights=weights, seed=2)
+    r = evolve(model, cfg)
+    assert len(pops) == len(scored) == len(evaluated) == 30
+    for pop, m, (seen, values), stats in zip(pops, scored, evaluated, r.stats):
+        assert seen is m
+        walked = [ref.walk_metrics(model, c) for c in pop]
+        rows = zip(*(field.tolist() for field in m[:3]))
+        assert [PlanMetrics(*row, m.n_parts) for row in rows] == walked
+        assert values.tolist() == [algebraic_fitness(w, weights) for w in walked]
+        # min() keeps the first of equal keys
+        best = min(zip(values.tolist(), walked), key=lambda vw: rank_key(*vw))
+        assert (stats.max_fitness, stats.best_metrics) == best
 
 
 def test_evolve_stats_shape_and_rate_columns():
@@ -504,7 +486,8 @@ def test_evolve_modes_a_b_identical_under_injected_fitness(monkeypatch):
     model = load_fixture("mixed5")
 
     def flat_fitness(ctx, m):
-        return float(m.feasible_len * 10 + m.n_parts - m.orient_changes)
+        # one float per row of the generation's array-valued metrics
+        return (m.feasible_len * 10 + m.n_parts - m.orient_changes) * 1.0
 
     monkeypatch.setattr(EvalContext, "evaluate", flat_fitness)
 

@@ -20,7 +20,7 @@ from adplan.product import (
     removed_mask,
     save_product,
 )
-from conftest import ORACLE_OPTIMA, STACK_TARGETS, fixture_path, load_fixture
+from conftest import ORACLE_OPTIMA, STACK_TARGETS, fixture_path, load_fixture, stack_doc
 from removal_reference import reduce, removable
 
 DIRS6 = ["+x", "-x", "+y", "-y", "+z", "-z"]
@@ -314,8 +314,13 @@ def test_opposite_labels():
 
 
 def test_blocker_masks_match_matrix(rng):
-    model = random_model(rng)
-    for d in range(len(model.directions)):
-        for i in range(model.n):
-            expected = removed_mask(np.flatnonzero(model.interference[d, i]))
-            assert model.blocker_masks[d][i] == expected
+    # each mask is a Python int whose set bits are exactly the blockers,
+    # also past 64 parts, where a fixed-width mask would overflow
+    stacks = [product_from_dict(stack_doc(n, seed=n)[0]) for n in (64, 70, 130)]
+    for model in [random_model(rng), random_model(rng, n=70, density=0.4), *stacks]:
+        for d in range(len(model.directions)):
+            for i in range(model.n):
+                mask = model.blocker_masks[d][i]
+                assert type(mask) is int and mask >= 0
+                bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
+                assert bits == np.flatnonzero(model.interference[d, i]).tolist()
