@@ -8,14 +8,12 @@ they were attached to in the parent.
 
 The GA holds its population as one ``(3, P, n)`` integer array, one plane
 per section, and ``metrics``, ``crossover`` and ``mutate`` work on a whole
-generation at a time.  Every index draw follows ``randbelow``, the rule
-``randrange(n)`` itself ends in, so the stream is exactly ``randrange``'s
-and seeded results match it.
+generation at a time.  Every draw comes from the run's one
+``numpy.random.Generator``, a whole array per call.
 """
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -46,50 +44,17 @@ class PlanMetrics(NamedTuple):
     n_parts: int
 
 
-def validate_chromosome(model: ProductModel, chrom: PlanChromosome) -> None:
-    """Raise ValueError if the chromosome breaks an encoding invariant."""
-    n = model.n
-    if len(chrom.sequence) != n or len(chrom.directions) != n or len(chrom.grippers) != n:
-        raise ValueError(f"chromosome sections must all have length {n}")
-    if sorted(chrom.sequence) != list(range(n)):
-        raise ValueError("sequence section is not a permutation of component ids")
-    nd = len(model.directions)
-    for pos, d in enumerate(chrom.directions):
-        if not 0 <= d < nd:
-            raise ValueError(f"direction gene {d} at position {pos} out of range")
-    for pos, (part, g) in enumerate(zip(chrom.sequence, chrom.grippers)):
-        if g not in model.allowed_grippers[part]:
-            raise ValueError(
-                f"gripper gene {g} at position {pos} not allowed for component {part}"
-            )
+def random_population(model: ProductModel, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` uniformly random valid chromosomes as a ``(3, size, n)`` array.
 
-
-def randbelow(rng: random.Random, n: int) -> int:
-    """A uniform draw from range(n), n >= 1: ``randrange(n)``'s stream.
-
-    This is the rule ``randrange(n)`` itself ends in: take
-    ``n.bit_length()`` bits and retry until the value is below n, so n == 1
-    still consumes bits.  ``select`` and ``mutate`` repeat it inline.
+    Draws, in order: every sequence as one ``permuted`` call, every
+    direction as one ``integers`` call, then every gripper, uniform over the
+    allowed set of the part at its position, as one more.
     """
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
-
-
-def random_chromosome(model: ProductModel, rng: random.Random) -> PlanChromosome:
-    """Sample a uniformly random valid chromosome."""
-    n = model.n
-    seq = list(range(n))
-    rng.shuffle(seq)
-    nd = len(model.directions)
-    dirs = [randbelow(rng, nd) for _ in range(n)]
-    grips = []
-    for part in seq:
-        allowed = model.allowed_grippers[part]
-        grips.append(allowed[randbelow(rng, len(allowed))])
-    return PlanChromosome(tuple(seq), tuple(dirs), tuple(grips))
+    counts, table = model.gripper_choices
+    seq = rng.permuted(np.tile(np.arange(model.n), (size, 1)), axis=1)
+    dirs = rng.integers(len(model.directions), size=seq.shape)
+    return np.stack((seq, dirs, table[seq, rng.integers(counts[seq])]))
 
 
 @lru_cache
@@ -174,66 +139,29 @@ def crossover(
     return planes.take(np.where(seg, kept, given + order.take(base + rot)), axis=1)
 
 
-def mutate(children: np.ndarray, model: ProductModel, mut_p: float, rng: random.Random) -> list[int]:
-    """Mutate rows of a C-contiguous ``(3, m, n)`` population array in place.
+def mutate(children: np.ndarray, model: ProductModel, mut_p: float, rng: np.random.Generator) -> np.ndarray:
+    """Mutate rows of a ``(3, m, n)`` population array in place.
 
-    Row by row, a ``random()`` below ``mut_p`` mutates the row: one swap of
-    two positions, one direction reset, one gripper reset.  The swap
-    exchanges whole position triples so genes stay attached to their
-    component; with one part there is nothing to swap and it draws nothing.
-    The gripper reset redraws from the allowed set of the component sitting
-    at the chosen position after the swap.  Returns the rows mutated.
+    A row is mutated when its entry of one ``random(m)`` draw is below
+    ``mut_p``.  A mutated row takes one swap of positions i and j, one
+    direction reset at p and one gripper reset at q.  One ``integers`` call
+    draws i, r, p, d and q for every mutated row, with j = (i + 1 + r) mod n
+    for r below n − 1, so the unordered swap pairs are uniform (with one
+    part, r is 0 and the swap does nothing).  The swap exchanges whole
+    position triples so genes stay attached to their component.  A last
+    ``integers`` call redraws each gripper from the allowed set of the
+    component sitting at q after the swap.  Returns the rows mutated.
     """
-    if not children.flags.c_contiguous:
-        raise ValueError("mutate changes its array in place; it must be C-contiguous")
     _, m, n = children.shape
-    nd = len(model.directions)
-    allowed = model.allowed_grippers
-    kn, kn1, kd = n.bit_length(), (n - 1).bit_length(), nd.bit_length()
-    random_, getrandbits = rng.random, rng.getrandbits
-    planes = children.reshape(3, -1)
-    part_at = planes[0].item
-    # the at_* lists hold flat positions within a plane
-    rows, at_i, at_j, at_p, new_d, at_q, new_g = [], [], [], [], [], [], []
-    for row in range(m):
-        if random_() >= mut_p:
-            continue
-        i = j = 0
-        if n >= 2:
-            i = getrandbits(kn)
-            while i >= n:
-                i = getrandbits(kn)
-            j = getrandbits(kn1)
-            while j >= n - 1:
-                j = getrandbits(kn1)
-            j += j >= i
-        p = getrandbits(kn)
-        while p >= n:
-            p = getrandbits(kn)
-        d = getrandbits(kd)
-        while d >= nd:
-            d = getrandbits(kd)
-        q = getrandbits(kn)
-        while q >= n:
-            q = getrandbits(kn)
-        base = row * n
-        grips = allowed[part_at(base + (j if q == i else i if q == j else q))]
-        na = len(grips)
-        ka = na.bit_length()
-        g = getrandbits(ka)
-        while g >= na:
-            g = getrandbits(ka)
-        rows.append(row)
-        at_i.append(base + i)
-        at_j.append(base + j)
-        at_p.append(base + p)
-        new_d.append(d)
-        at_q.append(base + q)
-        new_g.append(grips[g])
-    if rows:
-        planes[:, at_j + at_i] = planes.take(at_i + at_j, axis=1)
-        planes[1].put(at_p, new_d)
-        planes[2].put(at_q, new_g)
+    rows = np.flatnonzero(rng.random(m) < mut_p)
+    highs = (n, max(n - 1, 1), n, len(model.directions), n)
+    i, r, p, d, q = rng.integers(highs, size=(len(rows), 5)).T
+    j = (i + 1 + r) % n
+    children[:, rows, i], children[:, rows, j] = children[:, rows, j], children[:, rows, i]
+    children[1, rows, p] = d
+    counts, table = model.gripper_choices
+    part = children[0, rows, q]
+    children[2, rows, q] = table[part, rng.integers(counts[part])]
     return rows
 
 

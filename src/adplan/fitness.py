@@ -19,6 +19,7 @@ array-valued metrics row by row with the same arithmetic.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field as dc_field
 from itertools import repeat
 
@@ -30,7 +31,7 @@ from .fuzzy import FuzzySystem, build_ranking_system
 
 @dataclass(frozen=True)
 class Weights:
-    """Non-negative weights of the algebraic fitness terms (sum must be > 0)."""
+    """Finite, non-negative weights of the algebraic fitness terms (sum must be > 0)."""
 
     feasible: float = 2.0
     orientation: float = 1.0
@@ -38,8 +39,8 @@ class Weights:
 
     def __post_init__(self) -> None:
         vals = (self.feasible, self.orientation, self.gripper)
-        if any(w < 0 for w in vals):
-            raise ValueError(f"fitness weights must be non-negative, got {vals}")
+        if not all(math.isfinite(w) and w >= 0 for w in vals):
+            raise ValueError(f"fitness weights must be finite and non-negative, got {vals}")
         if sum(vals) <= 0:
             raise ValueError("at least one fitness weight must be positive")
 

@@ -6,9 +6,8 @@ generation produced by order crossover (the rest are selected clones).  Each
 non-elite individual is mutated with the current mutation probability.
 The population is one ``(3, P, n)`` array.  Each generation is scored with
 one ``metrics`` and one ``EvalContext.evaluate`` call over the whole array,
-and bred with three batched calls (``select``, ``crossover``, ``mutate``)
-that draw the same numbers, in the same order, as breeding one child at a
-time.
+and bred with three batched calls (``select``, ``crossover``, ``mutate``).
+All randomness flows from one ``numpy.random.Generator`` per run.
 
 Mode D layers a fuzzy run-time controller on top: after every generation the
 controller reads stagnation (generations since the max fitness last improved,
@@ -19,7 +18,6 @@ probability and crossover rate multiplicatively within configured bounds.
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,7 +30,7 @@ from .encoding import (
     crossover,
     metrics,
     mutate,
-    random_chromosome,
+    random_population,
 )
 from .fitness import EvalContext, FitnessMode, Weights, algebraic_fitness, best_row, rank_key
 from .fuzzy import ControllerSystems, build_controller_system
@@ -57,6 +55,10 @@ class GAConfig:
     success_target: float | None = None
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.success_target is not None and not math.isfinite(self.success_target):
+            raise ValueError(f"success_target must be finite, got {self.success_target}")
         if self.population_size < 2:
             raise ValueError(f"population_size must be >= 2, got {self.population_size}")
         if self.max_generations < 1:
@@ -122,56 +124,38 @@ class RunResult:
 
 
 def select(
-    values: Sequence[float], n_cross: int, n: int, rng: random.Random
-) -> tuple[list[int], list[int], tuple[list[int], list[int]]]:
+    values: Sequence[float], n_cross: int, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Every parent and crossover cut of one generation of P - 1 children,
     for 0 <= n_cross <= P - 1 crossover children and n parts.
 
     Each parent is a binary tournament with replacement over the P rows:
     two rows are drawn uniformly, the higher value wins and the first draw
-    wins ties (including drawing the same row twice).  The first n_cross
-    children come from parent pairs, each pair followed by its cut pair
-    0 <= i < j <= n, drawn uniformly over unordered pairs (with fewer than
-    2 parts nothing is drawn and the cut spans the row).  Both children of a
-    pair share its cut, the second with the parents' roles swapped, and an
-    odd n_cross drops the last pair's second child.  Every other child is a
-    clone of one tournament winner.
+    wins ties (including drawing the same row twice).  One
+    ``integers(P, size=(2, T))`` call draws all T tournaments, row 0 the
+    first draws and row 1 the second.  The first n_cross children come from
+    pairs of consecutive tournaments, and each pair gets a cut pair
+    0 <= i < j <= n, uniform over unordered pairs: a second call draws i
+    below n + 1 and j below n for every pair, j steps past i (j += j >= i)
+    and the two are sorted.  With one part the only cut pair spans the row.
+    Both children of a pair share its cut, the second with the parents'
+    roles swapped, and an odd n_cross drops the last pair's second child.
+    Every other child is a clone of one tournament winner.
 
     Returns ``(rows, donors, (lo, hi))``: the row each child starts from,
     then the donor row and the cuts of each crossover child.
     """
+    values = np.asarray(values)
     p = len(values)
-    kp, kc, kn = p.bit_length(), (n + 1).bit_length(), n.bit_length()
-    getrandbits = rng.getrandbits
-    paired = 2 * ((n_cross + 1) // 2)
-    winners: list[int] = []
-    lo: list[int] = []
-    hi: list[int] = []
-    for t in range(p - 1 - n_cross + paired):
-        a = getrandbits(kp)
-        while a >= p:
-            a = getrandbits(kp)
-        b = getrandbits(kp)
-        while b >= p:
-            b = getrandbits(kp)
-        winners.append(a if values[a] >= values[b] else b)
-        if t & 1 and t < paired:
-            i, j = 0, n
-            if n >= 2:
-                i = getrandbits(kc)
-                while i > n:
-                    i = getrandbits(kc)
-                j = getrandbits(kn)
-                while j >= n:
-                    j = getrandbits(kn)
-                j += j >= i
-                if i > j:
-                    i, j = j, i
-            lo += (i, i)
-            hi += (j, j)
-    rows = winners[:n_cross] + winners[paired:]
-    donors = [winners[k ^ 1] for k in range(n_cross)]
-    return rows, donors, (lo[:n_cross], hi[:n_cross])
+    pairs = (n_cross + 1) // 2
+    a, b = rng.integers(p, size=(2, p - 1 - n_cross + 2 * pairs))
+    winners = np.where(values[a] >= values[b], a, b)
+    i, j = rng.integers((n + 1, n), size=(pairs, 2)).T
+    j += j >= i
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    rows = np.concatenate((winners[:n_cross], winners[2 * pairs :]))
+    donors = winners[np.arange(n_cross) ^ 1]
+    return rows, donors, (lo.repeat(2)[:n_cross], hi.repeat(2)[:n_cross])
 
 
 def population_diversity(pop: np.ndarray) -> float:
@@ -232,23 +216,21 @@ def controller_update(
 def evolve(model: ProductModel, config: GAConfig) -> RunResult:
     """Run the GA to completion and return the best plan found.
 
-    Deterministic for a given (model, config): all randomness flows from one
-    random.Random seeded with config.seed.  The population is one
-    ``(3, P, n)`` array (sequence, direction and gripper planes); row 0 of
-    every bred generation is the elite.
+    Deterministic for a given (model, config) on a given numpy version: all
+    randomness flows from one ``numpy.random.default_rng(config.seed)``.
+    The population is one ``(3, P, n)`` array (sequence, direction and
+    gripper planes); row 0 of every bred generation is the elite.
     """
     if model.n == 0:
         raise ValueError("cannot plan for a product with no components")
     t0 = time.perf_counter()
-    rng = random.Random(config.seed)
+    rng = np.random.default_rng(config.seed)
     ctx = EvalContext(mode=config.mode, weights=config.weights)
     controlled = config.mode is FitnessMode.ADAPTIVE_CONTROLLED
     controller = build_controller_system() if controlled else None
 
     size = config.population_size
-    pop = np.array(
-        [random_chromosome(model, rng) for _ in range(size)], np.intp
-    ).transpose(1, 0, 2).copy()
+    pop = random_population(model, size, rng)
     mut_p = config.mutation_prob
     cross_r = config.crossover_rate
     history: list[GenerationStats] = []
@@ -288,7 +270,7 @@ def evolve(model: ProductModel, config: GAConfig) -> RunResult:
             break
         if controlled:
             mut_p, cross_r = controller_update(history, controller, config)
-        pop = _breed(pop, values, best_i, mut_p, cross_r, model, rng)
+        pop = _breed(pop, scores, best_i, mut_p, cross_r, model, rng)
 
     best_alg = algebraic_fitness(best_m, config.weights)
     success = (
@@ -310,12 +292,12 @@ def evolve(model: ProductModel, config: GAConfig) -> RunResult:
 
 def _breed(
     pop: np.ndarray,
-    values: list[float],
+    values: np.ndarray,
     elite_i: int,
     mut_p: float,
     cross_r: float,
     model: ProductModel,
-    rng: random.Random,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """The next generation: the elite, the crossover children, then the
     clones, all but the elite mutated."""

@@ -24,9 +24,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-#: Default direction labels for the three Cartesian axes and their opposites.
-CANONICAL_DIRECTIONS = ("+x", "-x", "+y", "-y", "+z", "-z")
-
 _MATRIX_KEYS = ("interference", "contact", "connection")
 
 
@@ -116,6 +113,18 @@ class ProductModel:
     def blocker_words(self) -> np.ndarray:
         """``blocker_masks`` as ``(D, n, W)`` ``mask_words``, built on first use."""
         return mask_words(self.interference)
+
+    @cached_property
+    def gripper_choices(self) -> tuple[np.ndarray, np.ndarray]:
+        """``allowed_grippers`` as read-only arrays, built on first use: the
+        count per part, and an ``(n, G)`` table padded with -1 past it."""
+        counts = np.array([len(a) for a in self.allowed_grippers], np.intp)
+        table = np.full((self.n, counts.max(initial=0)), -1, np.intp)
+        for part, allowed in enumerate(self.allowed_grippers):
+            table[part, : len(allowed)] = allowed
+        for array in (counts, table):
+            array.flags.writeable = False  # shared by every caller
+        return counts, table
 
     # -- invariants -------------------------------------------------------
 
@@ -319,35 +328,3 @@ def load_product(path: str | Path) -> ProductModel:
         raise ProductParseError(f"{path}: invalid JSON: {exc}") from exc
     return product_from_dict(data)
 
-
-def product_to_dict(model: ProductModel) -> dict:
-    """Serialize a model back to the product JSON structure."""
-    return {
-        "name": model.name,
-        "components": [
-            {
-                "id": i,
-                "name": model.part_names[i],
-                "grippers": [model.gripper_catalog[g] for g in model.allowed_grippers[i]],
-            }
-            for i in range(model.n)
-        ],
-        "directions": list(model.directions),
-        "interference": _matrices_to_lists(model.interference, model.directions),
-        "contact": _matrices_to_lists(model.contact, model.directions),
-        "connection": _matrices_to_lists(model.connection, model.directions),
-        "grippers": list(model.gripper_catalog),
-    }
-
-
-def _matrices_to_lists(stack: np.ndarray, directions: tuple[str, ...]) -> dict:
-    return {
-        lab: [[int(v) for v in row] for row in stack[d]]
-        for d, lab in enumerate(directions)
-    }
-
-
-def save_product(model: ProductModel, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(product_to_dict(model), indent=2) + "\n", encoding="utf-8"
-    )

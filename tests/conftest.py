@@ -1,4 +1,4 @@
-"""Shared test fixtures: packaged products, frozen optima, RNG stubs."""
+"""Shared test fixtures: packaged products, frozen optima, generators."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import random
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adplan.product import ProductModel, product_from_dict
@@ -89,29 +90,14 @@ def fixture_models() -> dict[str, ProductModel]:
 
 @pytest.fixture()
 def rng() -> random.Random:
+    """For building test data."""
     return random.Random(0xC0FFEE)
 
 
-class StubRandom(random.Random):
-    """random.Random whose getrandbits answers come from a script.
-
-    The GA draws every index below n by asking ``getrandbits`` for
-    ``n.bit_length()`` bits until the value is below n
-    (``encoding.randbelow``), so a scripted value below n is the index drawn.
-    Scripted entries are popped in call order; when the script runs dry the
-    real generator takes over, so tests can force just the first few
-    choices (crossover cut points, tournament draws) and leave the rest
-    honest.
-    """
-
-    def __init__(self, seed=0, *, bits=()):
-        super().__init__(seed)
-        self._bits = list(bits)
-
-    def getrandbits(self, k):
-        if self._bits:
-            return self._bits.pop(0)
-        return super().getrandbits(k)
+@pytest.fixture()
+def gen() -> np.random.Generator:
+    """For the GA operators, which draw from a numpy Generator."""
+    return np.random.default_rng(0xC0FFEE)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,11 +1,12 @@
 """Scalar GA operators: the one-chromosome-at-a-time forms of the batched
 ``encoding.metrics``, ``ga.select``, ``encoding.crossover`` and
-``encoding.mutate``.
+``encoding.mutate``, plus ``random_chromosome`` and ``validate_chromosome``.
 
-The GA once scored and bred with exactly these functions, drawing through
-``randrange``; the batched operators must give the same metrics and
-children and leave the generator in the same state.  ``population`` and ``chromosomes``
-convert between a list of chromosomes and a ``(3, P, n)`` population array.
+The breeding references take their draws as arguments, so a test can read
+the draws a batched operator made from a copy of its generator and check
+that the operator applied the rules to them exactly.  ``population`` and
+``chromosomes`` convert between a list of chromosomes and a ``(3, P, n)``
+population array.
 """
 
 from __future__ import annotations
@@ -29,6 +30,33 @@ def population(chroms: Sequence[PlanChromosome]) -> np.ndarray:
 def chromosomes(pop: np.ndarray) -> list[PlanChromosome]:
     """The rows of a population array as chromosomes of Python ints."""
     return [PlanChromosome(*map(tuple, sections)) for sections in zip(*pop.tolist())]
+
+
+def random_chromosome(model: ProductModel, rng: random.Random) -> PlanChromosome:
+    """Sample a uniformly random valid chromosome."""
+    seq = list(range(model.n))
+    rng.shuffle(seq)
+    dirs = [rng.randrange(len(model.directions)) for _ in seq]
+    grips = [rng.choice(model.allowed_grippers[part]) for part in seq]
+    return PlanChromosome(tuple(seq), tuple(dirs), tuple(grips))
+
+
+def validate_chromosome(model: ProductModel, chrom: PlanChromosome) -> None:
+    """Raise ValueError if the chromosome breaks an encoding invariant."""
+    n = model.n
+    if len(chrom.sequence) != n or len(chrom.directions) != n or len(chrom.grippers) != n:
+        raise ValueError(f"chromosome sections must all have length {n}")
+    if sorted(chrom.sequence) != list(range(n)):
+        raise ValueError("sequence section is not a permutation of component ids")
+    nd = len(model.directions)
+    for pos, d in enumerate(chrom.directions):
+        if not 0 <= d < nd:
+            raise ValueError(f"direction gene {d} at position {pos} out of range")
+    for pos, (part, g) in enumerate(zip(chrom.sequence, chrom.grippers)):
+        if g not in model.allowed_grippers[part]:
+            raise ValueError(
+                f"gripper gene {g} at position {pos} not allowed for component {part}"
+            )
 
 
 def walk_metrics(model: ProductModel, chrom: Sequence[Sequence[int]]) -> PlanMetrics:
@@ -60,34 +88,24 @@ def walk_metrics(model: ProductModel, chrom: Sequence[Sequence[int]]) -> PlanMet
     return PlanMetrics(prefix, o, g, n)
 
 
-def select(scored: Sequence[tuple], rng: random.Random):
-    """Binary tournament with replacement over (chromosome, fitness, ...) rows.
-
-    Two indices are drawn uniformly; the higher fitness wins and the first
-    draw wins ties (including drawing the same index twice).
-    """
-    a = scored[rng.randrange(len(scored))]
-    b = scored[rng.randrange(len(scored))]
-    return a[0] if a[1] >= b[1] else b[0]
+def tournament(scored: Sequence[tuple], a: int, b: int):
+    """Binary tournament between the drawn rows a and b of (chromosome,
+    fitness, ...) rows: the higher fitness wins and the first draw wins
+    ties (including drawing the same row twice)."""
+    return scored[a][0] if scored[a][1] >= scored[b][1] else scored[b][0]
 
 
 def crossover(
-    a: PlanChromosome, b: PlanChromosome, rng: random.Random
+    a: PlanChromosome, b: PlanChromosome, i: int, j: int
 ) -> tuple[PlanChromosome, PlanChromosome]:
     """Two-point order crossover producing two children.
 
-    One pair of distinct cut points 0 <= i < j <= n is drawn, uniformly over
-    unordered pairs, and shared by both children.  With fewer than two
-    parts nothing is drawn and the parents come back unchanged.
+    i is a draw below n + 1 and j one below n; j steps past i and the two
+    are sorted, which makes the cut pair 0 <= i < j <= n uniform over
+    unordered pairs.  Both children share it.
     """
-    n = len(a.sequence)
-    if n < 2:
-        return a, b
-    i = rng.randrange(n + 1)
-    j = rng.randrange(n)
     j += j >= i
-    if i > j:
-        i, j = j, i
+    i, j = min(i, j), max(i, j)
     return ox_child(a, b, i, j), ox_child(b, a, i, j)
 
 
@@ -107,42 +125,35 @@ def ox_child(keep: PlanChromosome, donor: PlanChromosome, i: int, j: int) -> Pla
     return PlanChromosome(*map(tuple, sections))
 
 
-def mutate(chrom: PlanChromosome, model: ProductModel, rng: random.Random) -> PlanChromosome:
-    """One swap of two positions, one direction reset, one gripper reset.
+def mutate(
+    chrom: PlanChromosome, model: ProductModel, i: int, r: int, p: int, d: int, q: int, g: int
+) -> PlanChromosome:
+    """One swap of positions i and (i + 1 + r) mod n, direction d at p, and
+    gripper g of the allowed set of the component at q after the swap.
 
-    The swap exchanges whole position triples; it is skipped, drawing
-    nothing, with a single part.  The gripper reset redraws from the allowed
-    set of the component sitting at the chosen position after the swap.
+    The swap exchanges whole position triples; with one part it is a no-op.
     """
     n = len(chrom.sequence)
-    seq = list(chrom.sequence)
-    dirs = list(chrom.directions)
-    grips = list(chrom.grippers)
-    if n >= 2:
-        i = rng.randrange(n)
-        j = rng.randrange(n - 1)
-        j += j >= i
-        seq[i], seq[j] = seq[j], seq[i]
-        dirs[i], dirs[j] = dirs[j], dirs[i]
-        grips[i], grips[j] = grips[j], grips[i]
-    p = rng.randrange(n)
-    dirs[p] = rng.randrange(len(model.directions))
-    q = rng.randrange(n)
-    allowed = model.allowed_grippers[seq[q]]
-    grips[q] = allowed[rng.randrange(len(allowed))]
+    j = (i + 1 + r) % n
+    seq, dirs, grips = (list(section) for section in chrom)
+    for section in (seq, dirs, grips):
+        section[i], section[j] = section[j], section[i]
+    dirs[p] = d
+    grips[q] = model.allowed_grippers[seq[q]][g]
     return PlanChromosome(tuple(seq), tuple(dirs), tuple(grips))
 
 
-def offspring(scored: Sequence[tuple], n_cross: int, rng: random.Random) -> list[PlanChromosome]:
-    """The P − 1 unmutated children of one generation, in the GA's order:
-    n_cross crossover children from tournament pairs, an odd count
-    dropping the last pair's second child, then tournament clones."""
+def offspring(
+    scored: Sequence[tuple], n_cross: int, first: Sequence[int], second: Sequence[int],
+    cuts: Sequence[tuple[int, int]],
+) -> list[PlanChromosome]:
+    """The P − 1 unmutated children of one generation, in the GA's order,
+    from tournament draws ``first[t]``, ``second[t]`` and the cut draws of
+    each crossover pair: n_cross crossover children from pairs of
+    consecutive tournaments, an odd count dropping the last pair's second
+    child, then tournament clones."""
+    winners = [tournament(scored, a, b) for a, b in zip(first, second)]
     children: list[PlanChromosome] = []
-    while len(children) < n_cross:
-        c1, c2 = crossover(select(scored, rng), select(scored, rng), rng)
-        children.append(c1)
-        if len(children) < n_cross:
-            children.append(c2)
-    while len(children) < len(scored) - 1:
-        children.append(select(scored, rng))
-    return children
+    for k, (i, j) in enumerate(cuts):
+        children += crossover(winners[2 * k], winners[2 * k + 1], i, j)
+    return children[:n_cross] + winners[len(children) :]

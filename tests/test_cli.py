@@ -179,6 +179,23 @@ def test_plan_bad_weights_exits_2(capsys):
     assert "--weights needs three" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--weights", "nan,1,1", "fitness weights must be finite"),
+        ("--weights", "1,inf,1", "fitness weights must be finite"),
+        ("--seed", "-3", "seed must be >= 0, got -3"),
+    ],
+)
+def test_plan_bad_number_exits_2(capsys, tmp_path, flag, value, message):
+    code, out, err = run_cli(capsys, "plan", fixture_path("cage5"), flag, value,
+                             "--out", tmp_path / "plan")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert not (tmp_path / "plan").exists()
+
+
 def test_plan_unknown_mode_exits_2(capsys):
     code, _, err = run_cli(capsys, "plan", fixture_path("chain3"), "--mode", "E")
     assert code == 2
@@ -329,6 +346,27 @@ def test_experiment_malformed_spec_field_exits_2(capsys, tmp_path, key, value):
     assert out == ""
     assert err.startswith(f"error: {key} must be {expected}")
     assert err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("weights", [float("nan"), 1, 1], "fitness weights must be finite"),
+        ("weights", [1, 1, float("inf")], "fitness weights must be finite"),
+        ("successTarget", float("nan"), "success_target must be finite"),
+        ("successTarget", float("inf"), "success_target must be finite"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ],
+)
+def test_experiment_bad_number_in_spec_exits_2(capsys, tmp_path, key, value, message):
+    # json writes and reads NaN and Infinity, though JSON has neither
+    spec = write_spec(tmp_path, **{key: value})
+    out = tmp_path / "results"
+    code, stdout, err = run_cli(capsys, "experiment", spec, "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

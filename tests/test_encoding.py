@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from collections import Counter
 
@@ -15,14 +16,12 @@ from adplan.encoding import (
     metrics,
     mutate,
     plan_record,
-    random_chromosome,
-    randbelow,
-    validate_chromosome,
+    random_population,
 )
 from adplan.ga import select
 from adplan.product import product_from_dict
-from conftest import ORACLE_OPTIMA, STACK_TARGETS, StubRandom, load_fixture, stack_doc
-from reference_ops import chromosomes, population
+from conftest import ORACLE_OPTIMA, STACK_TARGETS, load_fixture, stack_doc
+from reference_ops import chromosomes, population, random_chromosome, validate_chromosome
 from reference_ops import ox_child as ref_ox
 from removal_reference import reduce, removable
 from test_product import doc, random_model, zeros
@@ -122,21 +121,23 @@ def test_metrics_top_down_plan_of_a_70_part_stack_is_feasible():
     assert metrics(model, plan._replace(sequence=tuple(reversed(seq)))).feasible_len == 0
 
 
-# -- random_chromosome ------------------------------------------------------
+# -- random chromosomes: the GA's random_population and the tests' helper ----
 
 
 def test_random_chromosome_single_part():
     model = product_from_dict(doc(1, ["+x"]))
-    chrom = random_chromosome(model, random.Random(1))
-    assert chrom == ((0,), (0,), (0,))
+    assert random_chromosome(model, random.Random(1)) == ((0,), (0,), (0,))
+    pop = random_population(model, 3, np.random.default_rng(1))
+    assert chromosomes(pop) == [((0,), (0,), (0,))] * 3
 
 
-def test_random_chromosome_respects_gripper_table(rng):
+def test_random_chromosome_respects_gripper_table(rng, gen):
     model = load_fixture("product2")
     single = {i for i, a in enumerate(model.allowed_grippers) if len(a) == 1}
     assert single  # the table has forced rows
-    for _ in range(50):
-        chrom = random_chromosome(model, rng)
+    pop = random_population(model, 50, gen)
+    assert pop.shape == (3, 50, model.n)
+    for chrom in chromosomes(pop) + [random_chromosome(model, rng) for _ in range(50)]:
         validate_chromosome(model, chrom)
         for pos, part in enumerate(chrom.sequence):
             assert chrom.grippers[pos] in model.allowed_grippers[part]
@@ -149,14 +150,33 @@ def test_random_chromosome_deterministic():
     assert random_chromosome(model, random.Random(7)) == random_chromosome(
         model, random.Random(7)
     )
+    seven = random_population(model, 20, np.random.default_rng(7))
+    assert np.array_equal(seven, random_population(model, 20, np.random.default_rng(7)))
+    assert not np.array_equal(seven, random_population(model, 20, np.random.default_rng(8)))
 
 
-def test_random_chromosome_covers_directions(rng):
+def test_random_chromosome_covers_directions(rng, gen):
     model = free3(3)
     seen = set()
     for _ in range(200):
         seen.update(random_chromosome(model, rng).directions)
     assert seen == {0, 1, 2}
+    assert set(random_population(model, 200, gen)[1].ravel().tolist()) == {0, 1, 2}
+
+
+def test_random_population_is_uniform():
+    # n = 3: each of the 6 orders turns up within 10% of its share of
+    # 12,000 rows, and so does each (direction, gripper) of the 3 x 2 a
+    # part allows at a position
+    model = free3(3, {i: ["G1", "G3"] for i in range(3)}, ["G1", "G2", "G3"])
+    pop = random_population(model, 12_000, np.random.default_rng(3))
+    orders = Counter(map(tuple, pop[0].tolist()))
+    genes = Counter(zip(pop[1, :, 0].tolist(), pop[2, :, 0].tolist()))
+    assert set(genes) == {(d, g) for d in range(3) for g in (0, 2)}
+    for counts in (orders, genes):
+        assert len(counts) == 6
+        for key, count in counts.items():
+            assert abs(count - 2000) <= 200, (key, count)
 
 
 # -- crossover --------------------------------------------------------------
@@ -186,12 +206,9 @@ def test_crossover_hand_trace_cuts_1_3():
     )
     a = PlanChromosome((0, 1, 2, 3), (0, 0, 0, 0), (0, 0, 0, 0))
     b = PlanChromosome((3, 2, 1, 0), (1, 1, 1, 1), (1, 1, 1, 1))
-    # tournaments (0, 0) and (1, 1) pick a then b; then i = 1 and j = 2 >= i
-    # steps to 3
-    stub = StubRandom(bits=[0, 0, 1, 1, 1, 2])
-    rows, donors, cuts = select([1.0, 1.0, 1.0], 2, 4, stub)
-    assert (rows, donors, cuts) == ([0, 1], [1, 0], ([1, 1], [3, 3]))
-    c1, c2 = chromosomes(crossover(population([a, b]), rows, donors, cuts))
+    # the cut draws i = 1 and j = 2 >= i step to the cut pair (1, 3)
+    c1, c2 = chromosomes(crossover(population([a, b]), [0, 1], [1, 0], ([1, 1], [3, 3])))
+    assert (c1, c2) == ref.crossover(a, b, 1, 2)
     # child 1 keeps a[1:3], fills from b starting after the cut: b yields 0, 3
     assert c1.sequence == (3, 1, 2, 0)
     assert c1.directions == (1, 0, 0, 1)
@@ -229,20 +246,14 @@ def test_crossover_genes_travel_with_component(rng):
                 assert pair in (tri_a[part], tri_b[part])
 
 
-def test_crossover_single_part_passthrough(rng):
+def test_crossover_single_part_passthrough(rng, gen):
     model = product_from_dict(doc(1, ["+x"]))
     a = random_chromosome(model, rng)
     b = random_chromosome(model, rng)
-    # with one part the cut spans the row and none is drawn: two
-    # tournaments of two draws each are all that select takes
-    state = rng.getstate()
-    rows, donors, cuts = select([0.0, 0.0, 0.0], 2, 1, rng)
-    ref = random.Random()
-    ref.setstate(state)
-    for _ in range(4):
-        ref.randrange(3)
-    assert rng.getstate() == ref.getstate()
-    assert cuts == ([0, 0], [1, 1])
+    # with one part both draws of i (0 and 1) step to the only cut pair
+    for _ in range(20):
+        _, _, cuts = select([0.0, 0.0, 0.0], 2, 1, gen)
+        assert np.array_equal(cuts, ([0, 0], [1, 1]))
     children = chromosomes(crossover(population([a, b]), [0, 1], [1, 0], cuts))
     assert children == [a, b]
 
@@ -274,27 +285,27 @@ def test_crossover_every_cut_pair_matches_reference(n):
 # -- mutation ---------------------------------------------------------------
 
 
-def mutate_one(chrom, model, rng):
+def mutate_one(chrom, model, gen):
     """``chrom`` after one certain mutation."""
     pop = population([chrom])
-    assert mutate(pop, model, 1.0, rng) == [0]
+    assert mutate(pop, model, 1.0, gen).tolist() == [0]
     return chromosomes(pop)[0]
 
 
-def test_mutate_single_part_sequence_fixed(rng):
+def test_mutate_single_part_sequence_fixed(gen):
     model = product_from_dict(doc(1, ["+x", "-x"]))
     pop = population([PlanChromosome((0,), (0,), (0,))] * 20)
-    assert mutate(pop, model, 1.0, rng) == list(range(20))
+    assert mutate(pop, model, 1.0, gen).tolist() == list(range(20))
     for out in chromosomes(pop):
         assert out.sequence == (0,)
         validate_chromosome(model, out)
 
 
-def test_mutate_property_1000_trials(rng):
+def test_mutate_property_1000_trials(rng, gen):
     model = random_model(rng, n=7, ndirs=3, ngrips=3)
     chrom = random_chromosome(model, rng)
     for _ in range(1000):
-        out = mutate_one(chrom, model, rng)
+        out = mutate_one(chrom, model, gen)
         validate_chromosome(model, out)
         # at most one swap: sequences differ in at most two positions
         diff = sum(x != y for x, y in zip(out.sequence, chrom.sequence))
@@ -302,39 +313,42 @@ def test_mutate_property_1000_trials(rng):
         chrom = out
 
 
-def test_mutate_keeps_forced_gripper(rng):
+def test_mutate_keeps_forced_gripper(rng, gen):
     model = load_fixture("product1")
     forced = {i for i, a in enumerate(model.allowed_grippers) if len(a) == 1}
     assert forced
     chrom = random_chromosome(model, rng)
     for _ in range(300):
-        chrom = mutate_one(chrom, model, rng)
+        chrom = mutate_one(chrom, model, gen)
         for pos, part in enumerate(chrom.sequence):
             if part in forced:
                 assert chrom.grippers[pos] == model.allowed_grippers[part][0]
 
 
-def test_mutate_rate_zero_and_one(rng):
+def test_mutate_rate_zero_and_one(rng, gen):
     model = random_model(rng, n=5, ndirs=3, ngrips=3)
     chroms = [random_chromosome(model, rng) for _ in range(30)]
     pop = population(chroms)
-    state = rng.getstate()
-    assert mutate(pop, model, 0.0, rng) == []
+    twin = copy.deepcopy(gen)
+    assert mutate(pop, model, 0.0, gen).tolist() == []
     assert chromosomes(pop) == chroms
-    ref = random.Random()
-    ref.setstate(state)
-    for _ in chroms:
-        ref.random()  # every row still draws its random()
-    assert rng.getstate() == ref.getstate()
-    assert mutate(pop, model, 1.0, rng) == list(range(30))
+    twin.random(30)  # every row still takes its entry; the other draws are empty
+    assert gen.bit_generator.state == twin.bit_generator.state
+    assert mutate(pop, model, 1.0, gen).tolist() == list(range(30))
 
 
-def test_mutate_rejects_a_strided_view(rng):
-    # a reshape of a strided view would be a copy, and the mutation lost
-    model = random_model(rng, n=5)
-    pop = population([random_chromosome(model, rng) for _ in range(4)])
-    with pytest.raises(ValueError, match="C-contiguous"):
-        mutate(pop[:, ::2], model, 1.0, rng)
+def test_mutate_changes_a_strided_view_in_place(rng, gen):
+    # fancy-index assignment writes through a view of any layout
+    model = random_model(rng, n=5, ndirs=3, ngrips=3)
+    chroms = [random_chromosome(model, rng) for _ in range(8)]
+    pop = population(chroms)
+    view = pop[:, ::2]
+    twin = copy.deepcopy(view)
+    assert mutate(view, model, 1.0, copy.deepcopy(gen)).tolist() == [0, 1, 2, 3]
+    mutate(twin, model, 1.0, gen)
+    assert np.array_equal(pop[:, ::2], twin)
+    assert chromosomes(pop[:, 1::2]) == chroms[1::2]
+    assert chromosomes(pop[:, ::2]) != chroms[::2]
 
 
 def test_crossover_cuts_and_mutation_swaps_are_uniform():
@@ -343,7 +357,7 @@ def test_crossover_cuts_and_mutation_swaps_are_uniform():
     model = product_from_dict(doc(4, ["+y", "-x"]))
     a = PlanChromosome((0, 1, 2, 3), (0, 0, 0, 0), (0, 0, 0, 0))
     b = PlanChromosome((3, 2, 1, 0), (1, 1, 1, 1), (0, 0, 0, 0))
-    rng = random.Random(7)
+    rng = np.random.default_rng(7)
     draws = 20_000
     # 40,000 crossover children from 20,000 pairs, one cut per pair
     _, _, (lo, hi) = select([0.0] * (2 * draws + 1), 2 * draws, 4, rng)
@@ -353,7 +367,7 @@ def test_crossover_cuts_and_mutation_swaps_are_uniform():
     for child in children:
         kept = [pos for pos, d in enumerate(child.directions) if d == 0]
         cuts[kept[0], kept[-1] + 1] += 1  # a's genes fill exactly [i, j)
-    assert sorted(cuts.elements()) == sorted(zip(lo, hi))
+    assert sorted(cuts.elements()) == sorted(zip(lo.tolist(), hi.tolist()))
     moved = population([a] * draws)
     mutate(moved, model, 1.0, rng)
     swaps = Counter(
@@ -367,70 +381,55 @@ def test_crossover_cuts_and_mutation_swaps_are_uniform():
             assert abs(count - share) <= 0.15 * share, (pair, count)
 
 
-def test_crossover_matches_reference_and_randrange_cuts():
-    # select draws the cuts as randrange(n + 1), randrange(n) would draw
-    # them, after the pair's two tournaments
+def test_crossover_matches_reference_and_select_cuts():
+    # select draws the cuts after the pair's two tournaments, and the
+    # reference crossover applies the cut rule to the same draws
     rng = random.Random(11)
     for trial in range(400):
         n = 2 + trial % 12
         model = random_model(rng, n=n, ndirs=3, ngrips=3)
         a = random_chromosome(model, rng)
         b = random_chromosome(model, rng)
-        ref = random.Random(trial)
-        for _ in range(4):
-            ref.randrange(3)
-        i = ref.randrange(n + 1)
-        j = ref.randrange(n)
-        j += j >= i
-        i, j = min(i, j), max(i, j)
-        ours = random.Random(trial)
+        ours = np.random.default_rng(trial)
+        twin = copy.deepcopy(ours)
         _, _, cuts = select([0.0, 0.0, 0.0], 2, n, ours)
-        assert cuts == ([i, i], [j, j])
+        twin.integers(3, size=(2, 2))
+        ((i, j),) = twin.integers((n + 1, n), size=(1, 2)).tolist()
         c1, c2 = chromosomes(crossover(population([a, b]), [0, 1], [1, 0], cuts))
-        assert c1 == ref_ox(a, b, i, j)
-        assert c2 == ref_ox(b, a, i, j)
-        assert ours.getstate() == ref.getstate()
+        assert (c1, c2) == ref.crossover(a, b, i, j)
+        lo, hi = cuts[0][0], cuts[1][0]
+        assert (c1, c2) == (ref_ox(a, b, lo, hi), ref_ox(b, a, lo, hi))
+        assert ours.bit_generator.state == twin.bit_generator.state
 
 
 def test_mutate_matches_reference():
     # 1,100 random blocks of children, n = 1..44, against the scalar
-    # mutate applied child by child behind its own random() draw
+    # mutate applied child by child to the draws mutate's docstring names,
+    # read from a copy of its generator
     maker = random.Random(5)
     for trial in range(1100):
         n = 1 + trial % 44
         model = random_model(maker, n=n, ndirs=maker.randint(1, 6), ngrips=maker.randint(1, 4))
         chroms = [random_chromosome(model, maker) for _ in range(maker.randint(0, 12))]
         mut_p = maker.choice([0.0, 1.0, maker.random()])
-        seed = maker.getrandbits(32)
-        ours, theirs = random.Random(seed), random.Random(seed)
+        ours = np.random.default_rng(maker.getrandbits(32))
+        twin = copy.deepcopy(ours)
         pop = population(chroms) if chroms else np.zeros((3, 0, n), np.intp)
-        rows = mutate(pop, model, mut_p, ours)
-        want, want_rows = [], []
-        for row, chrom in enumerate(chroms):
-            if theirs.random() < mut_p:
-                chrom = ref.mutate(chrom, model, theirs)
-                want_rows.append(row)
-            want.append(chrom)
+        rows = mutate(pop, model, mut_p, ours).tolist()
+        want_rows = [row for row, u in enumerate(twin.random(len(chroms))) if u < mut_p]
+        highs = (n, max(n - 1, 1), n, len(model.directions), n)
+        draws = twin.integers(highs, size=(len(want_rows), 5)).tolist()
+        # the swap does not depend on the gripper draw: take the first
+        # allowed gripper to learn the part at q, then draw its gripper
+        moved = [ref.mutate(chroms[row], model, *d, 0) for row, d in zip(want_rows, draws)]
+        counts = [len(model.allowed_grippers[c.sequence[d[4]]]) for c, d in zip(moved, draws)]
+        grips = twin.integers(np.array(counts, np.intp)).tolist()
+        want = list(chroms)
+        for row, d, g in zip(want_rows, draws, grips):
+            want[row] = ref.mutate(chroms[row], model, *d, g)
         assert rows == want_rows
         assert chromosomes(pop) == want
-        assert ours.getstate() == theirs.getstate()
-
-
-# -- the draw rule ------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2024, 0xC0FFEE])
-def test_randbelow_draws_the_randrange_stream(seed):
-    # randbelow, and its inline copies in select and mutate, take
-    # n.bit_length() bits until the value is below n; this names the
-    # rule's dependency on CPython's randrange, so a change there fails here
-    # rather than only as golden-digest mismatches.  n == 1 must consume
-    # bits as randrange(1) does.
-    ours, theirs = random.Random(seed), random.Random(seed)
-    for n in range(1, 301):
-        for _ in range(3):
-            assert randbelow(ours, n) == theirs.randrange(n), n
-        assert ours.getstate() == theirs.getstate(), n
+        assert ours.bit_generator.state == twin.bit_generator.state
 
 
 # -- validate_chromosome ----------------------------------------------------

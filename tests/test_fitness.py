@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from adplan.encoding import PlanChromosome, PlanMetrics, metrics, random_chromosome
+from adplan.encoding import PlanChromosome, PlanMetrics, metrics
 from adplan.fitness import (
     EvalContext,
     FitnessMode,
@@ -19,6 +19,7 @@ from adplan.fitness import (
     rank_key,
 )
 from adplan.fuzzy import build_ranking_system
+from reference_ops import random_chromosome
 from test_product import doc, random_model
 from adplan.product import product_from_dict
 
@@ -40,6 +41,15 @@ def test_weights_reject_negative_and_all_zero():
         Weights(-1.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="positive"):
         Weights(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_weights_reject_non_finite(bad):
+    for k in range(3):
+        values = [1.0, 1.0, 1.0]
+        values[k] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            Weights(*values)
 
 
 def test_weights_allow_partial_zero():

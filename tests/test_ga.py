@@ -2,19 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
+import numpy as np
 import pytest
 
 import adplan.ga
 import reference_ops as ref
-from adplan.encoding import (
-    PlanChromosome,
-    PlanMetrics,
-    crossover,
-    random_chromosome,
-    validate_chromosome,
-)
+from adplan.encoding import PlanChromosome, PlanMetrics, crossover
 from adplan.fitness import EvalContext, FitnessMode, Weights, algebraic_fitness, rank_key
 from adplan.ga import (
     GAConfig,
@@ -27,8 +23,8 @@ from adplan.ga import (
 )
 from adplan.fuzzy import build_controller_system
 from adplan.product import load_product, product_from_dict
-from conftest import ORACLE_OPTIMA, StubRandom, load_fixture
-from reference_ops import chromosomes, population
+from conftest import ORACLE_OPTIMA, load_fixture
+from reference_ops import chromosomes, population, random_chromosome, validate_chromosome
 from test_product import doc, random_model
 
 
@@ -69,6 +65,20 @@ def test_config_rejects_degenerate_sizes():
         GAConfig(population_size=1)
     with pytest.raises(ValueError, match="max_generations"):
         GAConfig(max_generations=0)
+
+
+@pytest.mark.parametrize("seed", [-1, -3])
+def test_config_rejects_negative_seeds(seed):
+    with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
+        GAConfig(seed=seed)
+    GAConfig(seed=0)
+    GAConfig(seed=2**80)  # any non-negative integer seeds the generator
+
+
+@pytest.mark.parametrize("target", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_success_target(target):
+    with pytest.raises(ValueError, match="success_target must be finite"):
+        GAConfig(success_target=target)
 
 
 def test_config_rejects_rates_outside_unit_interval():
@@ -112,26 +122,31 @@ def test_config_uncontrolled_modes_take_rates_outside_bounds(letter):
 
 
 def test_select_tournament_probabilities():
-    # two individuals: the fitter one wins 3 of the 4 equally likely draw
-    # pairs, the weaker only the (weak, weak) pair -> P(fitter) = 0.75
-    outcomes = []
-    for pair in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        stub = StubRandom(bits=list(pair))
-        rows, donors, cuts = select([1.0, 2.0], 0, 3, stub)
-        assert donors == [] and cuts == ([], [])
-        outcomes.extend(rows)
-    assert outcomes == [0, 1, 1, 1]
+    # rows alternate between two values: the fitter value wins 3 of the 4
+    # equally likely value pairs -> P(fitter) = 0.75 over 19,999 tournaments
+    values = [1.0, 2.0] * 10_000
+    rows, donors, cuts = select(values, 0, 3, np.random.default_rng(1))
+    assert donors.size == cuts[0].size == cuts[1].size == 0
+    assert len(rows) == 19_999
+    share = np.mean(np.take(values, rows) == 2.0)
+    assert abs(share - 0.75) <= 0.015, share
 
 
 def test_select_tie_keeps_first_draw():
-    assert select([2.0, 2.0], 0, 3, StubRandom(bits=[0, 1]))[0] == [0]
-    assert select([2.0, 2.0], 0, 3, StubRandom(bits=[1, 0]))[0] == [1]
+    # among equal values every tournament returns its first draw, which is
+    # row 0 of select's one integers(P, size=(2, T)) call
+    gen = np.random.default_rng(2)
+    twin = copy.deepcopy(gen)
+    rows, _, _ = select([2.0] * 50, 0, 3, gen)
+    first, second = twin.integers(50, size=(2, 49))
+    assert rows.tolist() == first.tolist()
+    assert (first != second).any()
 
 
-def test_select_returns_member(rng):
+def test_select_returns_member(gen):
     values = [float(i % 3) for i in range(10)]
     for n_cross in range(10):
-        rows, donors, (lo, hi) = select(values, n_cross, 6, rng)
+        rows, donors, (lo, hi) = select(values, n_cross, 6, gen)
         assert len(rows) == 9 and len(donors) == len(lo) == len(hi) == n_cross
         assert set(rows) | set(donors) <= set(range(10))
         assert all(0 <= i < j <= 6 for i, j in zip(lo, hi))
@@ -139,7 +154,8 @@ def test_select_returns_member(rng):
 
 def test_select_matches_reference():
     # 1,100 random generations, n = 1..44: select's rows, donors and cuts
-    # give the scalar loop's children and leave the same generator state
+    # give the scalar loop's children, applied to the draws select's
+    # docstring names, read from a copy of its generator
     maker = random.Random(3)
     for trial in range(1100):
         n = 1 + trial % 44
@@ -148,14 +164,17 @@ def test_select_matches_reference():
         chroms = [random_chromosome(model, maker) for _ in range(p)]
         values = [float(maker.randrange(4)) for _ in range(p)]  # ties included
         n_cross = maker.randint(0, p - 1)
-        seed = maker.getrandbits(32)
-        ours, theirs = random.Random(seed), random.Random(seed)
+        ours = np.random.default_rng(maker.getrandbits(32))
+        twin = copy.deepcopy(ours)
         rows, donors, cuts = select(values, n_cross, n, ours)
         pop = population(chroms)
         got = chromosomes(crossover(pop, rows[:n_cross], donors, cuts))
         got += [chroms[r] for r in rows[n_cross:]]
-        assert got == ref.offspring(list(zip(chroms, values)), n_cross, theirs)
-        assert ours.getstate() == theirs.getstate()
+        pairs = (n_cross + 1) // 2
+        first, second = twin.integers(p, size=(2, p - n_cross - 1 + 2 * pairs)).tolist()
+        cut_draws = twin.integers((n + 1, n), size=(pairs, 2)).tolist()
+        assert got == ref.offspring(list(zip(chroms, values)), n_cross, first, second, cut_draws)
+        assert ours.bit_generator.state == twin.bit_generator.state
 
 
 # -- diversity ----------------------------------------------------------------
@@ -320,6 +339,23 @@ def test_evolve_single_component_immediate_optimum():
     assert r.stats[0].max_fitness == 1.0
     assert r.best_metrics == (1, 0, 0, 1)
     assert r.best.sequence == (0,)
+
+
+def test_evolve_builds_one_seeded_generator(monkeypatch):
+    model = load_fixture("stack4")
+    cfg = GAConfig(population_size=20, max_generations=40, seed=5)
+    honest = evolve(model, cfg)
+    real = np.random.default_rng
+    seeds = []
+
+    def default_rng(*args):
+        seeds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    r = evolve(model, cfg)
+    assert seeds == [(5,)]
+    assert (r.best, r.stats) == (honest.best, honest.stats)
 
 
 def test_evolve_deterministic_per_seed():

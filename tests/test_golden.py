@@ -5,7 +5,9 @@ stats))`` of one ``evolve`` run with the default settings, except that the
 two smaller products run 100 generations.  A change that moves any draw of
 the search RNG, any float summed in another order or any tie-break moves a
 digest.  Speed work must keep them; a change that means to move seeded
-results says so and re-pins them.
+results says so and re-pins them.  The search draws from a
+``numpy.random.Generator``, whose streams may change between numpy
+releases; these digests were pinned on numpy 2.4.6.
 """
 
 from __future__ import annotations
@@ -24,30 +26,30 @@ GENERATIONS = {"product1": 100, "product2": 300, "stack6": 100}
 
 #: (product, mode, seed) -> digest
 GOLDEN = {
-    ("product1", "A", 0): "f3e44059c23851973686943fcd22ec0b0aa3a3e01e44a5633a345883857b5d68",
-    ("product1", "A", 1): "bc4c5026c8151eedd9f59f93afa5e3018076c0bc700f18f9d68d3e1dcc33086f",
-    ("product1", "B", 0): "442b96ee948a548766f4ffec1fe49008858f38083f64de57026ab9843043cd50",
-    ("product1", "B", 1): "4eb9671d8d794e7d64ce467678c5c822af0e62c4f30b5fbe9229bf03663f7697",
-    ("product1", "C", 0): "d9b626bbc948040e0046573679c815187b83216c4ad0570fbbd0f2c9ac3d6220",
-    ("product1", "C", 1): "e3d26f7ca76963df3386072d5af1bb3cb5e569a46072371b1a26df968c773e44",
-    ("product1", "D", 0): "714ff5d7ab4a82874d10cc0058b4389b72c4bd7dd63b09214e0f9219299295a4",
-    ("product1", "D", 1): "d3c05be971be6176ed09f8f4d4125e39153a35858d2c1ef80ae4d2049fc56ab0",
-    ("product2", "A", 0): "2f4dbfd15f251c7dfd51939ae638920836389e84d8b4b0665877fc419ba08c57",
-    ("product2", "A", 1): "b4f2d0e4dfc51f8a7495106f8af49479b65b8356b3c0196adc9a6052a5a3cf53",
-    ("product2", "B", 0): "fa507b83c438a27899ff0f26c96b23e3818a055c9a61a2c6199445123dd01398",
-    ("product2", "B", 1): "63952be8c9e479e3c49bfcee0d8a41840c2df8fcccbdcef5b59f066489e25bb2",
-    ("product2", "C", 0): "bc4305f900e1125af4a10d988d03cf595441ce30368283c5633de402ff22d73b",
-    ("product2", "C", 1): "6a1e86030639353287bf10072fcbd80af34f5ae56685e1778d5f0216c8f0901a",
-    ("product2", "D", 0): "0e51eacda4f13411f8a2ee8556bab621be04e9421ace2b3f074c43a9602ed810",
-    ("product2", "D", 1): "50688aa610f47311882204e2bde7f9b04ff28e93fd3942116127bab2045e285a",
-    ("stack6", "A", 0): "76436658a0f63e7037843828bf180fac8ffbce74a3cdf492ca196de70ed5f0c3",
-    ("stack6", "A", 1): "d0a224a129d7672ccc9d1af537117085120bc6edc180cbd2adc924a53d73062f",
-    ("stack6", "B", 0): "30ecfcff2372baabc51115086465b6fcd906e0163e57347f196151fb015dacbd",
-    ("stack6", "B", 1): "8d011a289bbbf1564549012a7be84ee533975c1b87d5bcb387c4551ddd992325",
-    ("stack6", "C", 0): "f2f0a42827692fe9f8a6b75d4f94cb44b08f10312fae193853ca8e84e1c205cc",
-    ("stack6", "C", 1): "7c001846ffbea33eceed1c9b00c7f5736b6359a2148c64bd85184c86d746df9e",
-    ("stack6", "D", 0): "8b68c04408239170e9daece47094cb264d6e26d26ba94cf6bba5333a3aec5c61",
-    ("stack6", "D", 1): "b6682c422cb92e46359d86e817f6833c872bacf00a71af6d429123e4398a3b99",
+    ("product1", "A", 0): "179d89e93ce151f176865c02aa2b728b970e182bfead8abecc66187bb3a3d5ce",
+    ("product1", "A", 1): "9c3ff3914efd78575cae961e72f4ef79b07b6567615364e82259178834f5b206",
+    ("product1", "B", 0): "54b76efec75dd769bd8267e50efcca61071a524f42426650cebf44d408706db4",
+    ("product1", "B", 1): "f2deef7c3ec451b07892bced833061091566d6c2098a39914476d45ec019e2d4",
+    ("product1", "C", 0): "76ba912b57e35751d9aa551b3fe85df6e3e7f9491330b18e72c9fa2796e0b3f8",
+    ("product1", "C", 1): "e57671c73adfde3348f7e76b38602d1016ee678a8f2df571ded7443e34edd09d",
+    ("product1", "D", 0): "8fc84fa89a40263b7b16f5e1ffce66ec66394d7237a22b9d0ea565b7c935d44a",
+    ("product1", "D", 1): "6ce3bca3f58d17f9444d8acbdb9e86141003850a2ac9646626d516c4edd663fa",
+    ("product2", "A", 0): "3747247ff5238542be8a331328489dd198e863891e5649241a2201e2f4f44b6e",
+    ("product2", "A", 1): "097f032ae13f56d3beb7f3aa2af754161e9655f767773747b1cf4ebe413a7bc2",
+    ("product2", "B", 0): "af46751dcf71dae8f506a01f7352da6f076d6a7f16dd1ab455ba8553e7fc87c9",
+    ("product2", "B", 1): "fa5f9f7afe2319d6c19ba358aedb43edffa4ba849d5b8643d7b62ec9d826b757",
+    ("product2", "C", 0): "d83f8d8eec8a4057be600814e8a92800b0fe7d537ad4e004dfb2ff697d63e7d4",
+    ("product2", "C", 1): "224b8fc1803d31923a15c99ff943cec98c53db68e51e14f8063a90a713612f88",
+    ("product2", "D", 0): "c842979ccd727698b4c8838be93dbc35880cdc2c90849be0f83f3d9d7bf1e8ea",
+    ("product2", "D", 1): "25e8e849b622f1ff6754b351881dbe1ce05e3831c7e789b979eae9caac03658b",
+    ("stack6", "A", 0): "b969a0cfbfddd6ca22390831a13f936bda44d38c2e52b7064e7da86d6bb44e2d",
+    ("stack6", "A", 1): "a41941c267c24b419474857207dfe62d52a1cc870646dfce8985f58c12001c6d",
+    ("stack6", "B", 0): "f961afe368f969b4d10acef9163ad837826c1d9e39bdb53615e5c24e4511b68c",
+    ("stack6", "B", 1): "bad4ac5d499f7745690745c0a9727c6cdedb8c93b0a094541fc49781a4987776",
+    ("stack6", "C", 0): "6f4ed18ddbcde40eb1d3b1f7e377b3ca3dc94aeba2fc7875b4f4ffa12ba770bc",
+    ("stack6", "C", 1): "6560cf71bae88d0d945dd5166d2e1547045fda23914a2199cbe0bf5f5f5ebc85",
+    ("stack6", "D", 0): "4599f82e30d6217d22951c3a284e52fe5b443b6ccc6169106d613267e513bc07",
+    ("stack6", "D", 1): "a3b0f8f13a2ca82d2355945114b65719672a22a8ede82f3a391d8e0dc6c6caa0",
 }
 
 
@@ -122,38 +124,38 @@ def edge_config(mode: str, settings: dict) -> GAConfig:
 EDGE_GOLDEN = {
     ("single", "default", "A"): "4a26e4936df167f0cffeea0c4a0f71f412b5293e766e5372ac4cc50f30735ef7",
     ("single", "default", "D"): "8bb680f12d44da6f0cec817887c17dd95af58d8a45ca1099d1ab55f7e5ae339a",
-    ("pair", "default", "A"): "4d118746c0ae5ca4cc7facaf853d539589d7ec72b6a055dec334f49bf939e2d6",
-    ("pair", "default", "D"): "a8a9317055767939d1389d295a6a509b6187ca6c886362fffed3400cfe6acd6d",
-    ("pair", "pop2", "A"): "4b5cbf5bda0278c0a7e45710a251e997c20aba68ff26e5c457dcbb0e2f4d41ae",
-    ("pair", "pop2", "D"): "4880fec7f26d711f5092db2b4569da1c88bb37f8f1c0117c9ce0589be859bbd4",
-    ("pair", "cross0", "A"): "f532e5dc7b545a251a88e37abfbe9e8811e749a841bef121f280c9cb9aff479c",
-    ("pair", "cross0", "D"): "a5974f8ce33818004b222191b42152acfd6b48afa0ace144a4bd155879d81694",
-    ("pair", "cross1", "A"): "53ed12e338751ba65ced53f751b3dac9613622ad7f0f527346dc526990437f46",
-    ("pair", "cross1", "D"): "887839de661d66b727c336e4a922f033faed016ad9f019ef3ce9c5ca0f42fcdc",
-    ("pair", "mut0", "A"): "6e29990c99c004293a96e3159dd906628a16661956c81688adb21897daa70ce1",
-    ("pair", "mut0", "D"): "84a0d57d35d7cbde37c197531fc22633db16881103e7393f2c8d458fa283baf5",
-    ("pair", "mut1", "A"): "6736189e50b9ffc9452229abca79e9793a31d27ca0e304814e30ed2ccf78bfcf",
-    ("pair", "mut1", "D"): "2d9eda7ac8f1ea4691fceb0cad25b158a49862fbf266b993cbbfe29b2fe9c156",
-    ("product1", "pop2", "A"): "39befe49015e077cc06df53bcf4cc6dc788f3c2f784965e73fb13f14516b0cd1",
-    ("product1", "pop2", "D"): "5b7a469096bf91b913bb72b13171e6ab1710c7b5947ee38522170eb3ebd140db",
-    ("product1", "cross0", "A"): "1957c869c1384ea18f79e828b22fbbf40f706a8a7e21bd9f919acfd811aaa24c",
-    ("product1", "cross0", "D"): "fb3ba29344ff3aa278628aa83f95ea830c5e117b305ed159e3e5a5e9d1b489b8",
-    ("product1", "cross1", "A"): "2362a6fbb90a7180675eb8bc3a5a9a318530b736b69b2b6bca364a2d85e7615b",
-    ("product1", "cross1", "D"): "123a03f338f4aeaf393f8ed351e41fe66a548b97b994aa930d768f9fff60014b",
-    ("product1", "mut0", "A"): "d44b9b1081d5b62a75871717b6529660d16085203017887554a163897be993aa",
-    ("product1", "mut0", "D"): "fcc9fc18355594b5c64055ef3eb1d6feeac8345c7806ad87379f67c31603fc76",
-    ("product1", "mut1", "A"): "c901ca697cbf7a006b3805083a94b657ed10a1de7d20dfa7d9e75a1486f24191",
-    ("product1", "mut1", "D"): "64089c8c6f109cdbb5b1b49ef7142182daaf536b4f900a7c2cf1cd1357787446",
-    ("stack6", "pop2", "A"): "379305e898bd9ac3c6f181ee67676839c77999ccc73d45a56821368082fe6175",
-    ("stack6", "pop2", "D"): "dbfca9aeb63ec94071ec5dcf75045e4928ecb75cb78d199526a70d50ef4fe94b",
-    ("stack6", "cross0", "A"): "fc1da29bf69340a1fb6520707c03826308d2d41b855d48bcc0819d4763be7fdf",
-    ("stack6", "cross0", "D"): "565240cd9d2897d249e704add08315b9d741d1051f05accc6da3d6e855f93224",
-    ("stack6", "cross1", "A"): "e6d793a9288508047aa8c0619736c91ac0ab3e293250691c9bff208d27f1204c",
-    ("stack6", "cross1", "D"): "a5bc211dfc0dfa90b15a76b9051795b93534ca9d9f5309d6cbc60d3458daadc3",
-    ("stack6", "mut0", "A"): "3c8bae5755bfc36d31ec56202d322c24846ffdc94f8c54ab9696742fc0378252",
-    ("stack6", "mut0", "D"): "f4da5078d4d0778f812c6c0aacba4ea60581011b456b0c22e063457e9432420f",
-    ("stack6", "mut1", "A"): "1530538d2e3a4cc1c4ace004e2c85f84a183e6036a50dd99f77057b5d2a5fe6a",
-    ("stack6", "mut1", "D"): "f7b8551897da7356b684dcbdf1adb1ab53ee1628104c7dd655dbe2bcde16ee5a",
+    ("pair", "default", "A"): "5273e539807a491329dfd5a9baf634fdbb17fd0adece836c0480eb399cbe6f66",
+    ("pair", "default", "D"): "0512b93def2d7a6903ba078db43583b1a0708d05370ad5bb6981b5d6a4994583",
+    ("pair", "pop2", "A"): "cfe1d89f93e41dabca3238674eb16198049f29cfa286780d9b1789e4eb95aac7",
+    ("pair", "pop2", "D"): "96db5515209248287e2fd5c9d5a44d1aa10ab382b6202c0d851c44e23ec7b422",
+    ("pair", "cross0", "A"): "8263c477d78e312090a0620489a0b265fa64634aaf02d0eb1f8cec4115dc3842",
+    ("pair", "cross0", "D"): "f8f1f884aeb6b12ebbefac2e27d73ba890892a73f6de5e662257ac0edd7d1185",
+    ("pair", "cross1", "A"): "8f895c97c70351483eb1609bffe85200a761ed8bf1e04d1860eaa32fd598c7b8",
+    ("pair", "cross1", "D"): "769ec88edadf7d7228475f777bdf7847a092047abf0ef68ca83de558b084204d",
+    ("pair", "mut0", "A"): "d4bf1ff9eb059c9db0a0f8a1740b469b34ffd216b06d7f788094bf056ecfa091",
+    ("pair", "mut0", "D"): "bb6980237db30da698d0d1cd12c992e9e446945391bbdd3fd9db7c087f3d35db",
+    ("pair", "mut1", "A"): "4a4a983d83b457261cc0ba327325b1f1f7fb731d74e5ba0d19085960266e1e35",
+    ("pair", "mut1", "D"): "505d6f54f60ab8ff37649f4bcc70a2f9c15de597786244fb611ff58767de3c51",
+    ("product1", "pop2", "A"): "cdf8a0d3cc2cac050f85470868de22693662a7216300b06e5fe93a2d10ca3651",
+    ("product1", "pop2", "D"): "78d88c2a3998a61ec6eca5940f95e3a1740f12c7e7609990768eafc766bd8647",
+    ("product1", "cross0", "A"): "88e8d10600845992debe36193b5586d0ee84a037ec2b1589d456949e9ed72c3f",
+    ("product1", "cross0", "D"): "d5a46300064160b6ac77e32d5499dc22f7f19fd2461bb9973b9ff1abef1ab678",
+    ("product1", "cross1", "A"): "555c26e9aeb2308f8981ef54e2420e0887cfdd512ce419121c462181ca1937a4",
+    ("product1", "cross1", "D"): "c92310222291dc68f1e93a01c10f8a4cc386c101b36a2ec8fe5d8b51085baf1d",
+    ("product1", "mut0", "A"): "80b125fadd6455e71a03c07206b2265b4ead275672c82c6b46ad1eeee18272ee",
+    ("product1", "mut0", "D"): "63fb4d048ea2b0854fefc6625190d0bd9c33f56fd24c9e9973696a01467df1f1",
+    ("product1", "mut1", "A"): "3f09848ec39feefbcea30822b348ca8b056d5fa9db2b6911629246e6062771f3",
+    ("product1", "mut1", "D"): "c93af0da8c079e88d299db7744efc7fa69d097fbac2c9f9bd525d8b22a6b1e96",
+    ("stack6", "pop2", "A"): "079a32caf1a884105508be06ad80f7f64dcb53a02954746c0236401dbd819b65",
+    ("stack6", "pop2", "D"): "f5a465abdd95a8da5cbeab9b609b604e1517752393d12300e3f430cae46f79e0",
+    ("stack6", "cross0", "A"): "b13b62958b1dd557664246bc3aa48454899140abc965c62516381f2678c8c01e",
+    ("stack6", "cross0", "D"): "c667327318633b68ab2b6608f8b2eabd3e55ed5ca470d028b703dd8a9d2723aa",
+    ("stack6", "cross1", "A"): "3a01253cd02f6b3671b2892754624c4c6ca22fc5f45280ecaba2b15aca58e527",
+    ("stack6", "cross1", "D"): "7d39078746b27c048751835a659959511a19a72dc10b68259c88f7a693f67afc",
+    ("stack6", "mut0", "A"): "1b764ba480ea816afbedaed74f437f2a6d953d59d427d422be73b686493e9821",
+    ("stack6", "mut0", "D"): "d8f4aaa912f0d5263b1da96c7c22ecb69cb64c6f917a60e16a02326df20bb9b5",
+    ("stack6", "mut1", "A"): "34e12a6160c135d720cd91f92767ec097e87fbc47734ae81161021260abe1be3",
+    ("stack6", "mut1", "D"): "6aa90bcc9921515c24ca274354fcb981645e9f9efcb15a6e28e520899f877216",
 }
 
 

@@ -7,13 +7,14 @@ import random
 
 import pytest
 
-from adplan.encoding import metrics, validate_chromosome
+from adplan.encoding import metrics
 from adplan.fitness import FitnessMode, Weights, algebraic_fitness
 from adplan.ga import GAConfig, evolve
 from adplan.oracle import brute_force_optimal
 from adplan.product import product_from_dict
 from brute_oracle import enumerate_optimal
 from conftest import ORACLE_OPTIMA, STACK_TARGETS, load_fixture
+from reference_ops import validate_chromosome
 from stack_oracle import stack_optimal_fitness
 from test_product import doc, zeros
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import reference_ops as ref
-from adplan.encoding import PlanChromosome, PlanMetrics, metrics, random_chromosome
+from adplan.encoding import PlanChromosome, PlanMetrics, metrics
 from adplan.fitness import (
     EvalContext,
     FitnessMode,
@@ -76,7 +76,7 @@ def long_prefix_plan(model: ProductModel, rng: random.Random) -> PlanChromosome:
 
 
 def mixed_population(model: ProductModel, rng: random.Random, size: int) -> list[PlanChromosome]:
-    plans = [random_chromosome(model, rng) for _ in range(size // 2)]
+    plans = [ref.random_chromosome(model, rng) for _ in range(size // 2)]
     plans += [long_prefix_plan(model, rng) for _ in range(size - size // 2)]
     plans += rng.sample(plans, size // 4)  # clones, as the GA breeds them
     rng.shuffle(plans)
